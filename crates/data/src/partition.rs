@@ -19,28 +19,49 @@ pub fn power_law_sizes(
 ) -> Vec<usize> {
     assert!(min_size >= 1 && max_size >= min_size, "power_law_sizes: bad range");
     assert!(alpha > 0.0, "power_law_sizes: alpha must be positive");
+    let dist = BoundedPareto::new(min_size, max_size, alpha);
     let mut rng = device_rng(seed, 0x51AE);
-    (0..devices)
-        .map(|_| {
-            let u: f64 = rng.gen_range(0.0..1.0);
-            bounded_pareto(u, min_size, max_size, alpha)
-        })
-        .collect()
+    (0..devices).map(|_| dist.quantile(rng.gen_range(0.0..1.0))).collect()
 }
 
-/// Inverse-CDF sample of a bounded discrete power law
-/// `P(size = s) ∝ s^{-alpha}` over `[min_size, max_size]` at quantile
-/// `u ∈ [0, 1)` (continuous bounded Pareto, rounded).
-fn bounded_pareto(u: f64, min_size: usize, max_size: usize, alpha: f64) -> usize {
-    let a = 1.0 - alpha;
-    let (lo, hi) = (min_size as f64, max_size as f64);
-    let s = if (a.abs()) < 1e-9 {
-        // alpha == 1: log-uniform.
-        (lo.ln() + u * (hi.ln() - lo.ln())).exp()
-    } else {
-        (lo.powf(a) + u * (hi.powf(a) - lo.powf(a))).powf(1.0 / a)
-    };
-    (s.round() as usize).clamp(min_size, max_size)
+/// A bounded discrete power law `P(size = s) ∝ s^{-alpha}` over
+/// `[min_size, max_size]`, sampled by inverse CDF (continuous bounded
+/// Pareto, rounded). The `u`-independent terms are computed once, so a
+/// per-device [`BoundedPareto::quantile`] is one `powf` (one `exp` when
+/// `alpha == 1`).
+#[derive(Debug, Clone, Copy)]
+struct BoundedPareto {
+    min_size: usize,
+    max_size: usize,
+    /// `alpha == 1`: the law is log-uniform.
+    log_uniform: bool,
+    /// `lo^a` (`ln lo` when log-uniform), with `a = 1 − alpha`.
+    la: f64,
+    /// `hi^a − lo^a` (`ln hi − ln lo` when log-uniform).
+    span: f64,
+    /// `1 / a` (unused when log-uniform).
+    inv_a: f64,
+}
+
+impl BoundedPareto {
+    fn new(min_size: usize, max_size: usize, alpha: f64) -> Self {
+        let a = 1.0 - alpha;
+        let (lo, hi) = (min_size as f64, max_size as f64);
+        let log_uniform = a.abs() < 1e-9;
+        let (la, span) = if log_uniform {
+            (lo.ln(), hi.ln() - lo.ln())
+        } else {
+            (lo.powf(a), hi.powf(a) - lo.powf(a))
+        };
+        BoundedPareto { min_size, max_size, log_uniform, la, span, inv_a: 1.0 / a }
+    }
+
+    /// The size at quantile `u ∈ [0, 1)`.
+    fn quantile(&self, u: f64) -> usize {
+        let x = self.la + u * self.span;
+        let s = if self.log_uniform { x.exp() } else { x.powf(self.inv_a) };
+        (s.round() as usize).clamp(self.min_size, self.max_size)
+    }
 }
 
 /// A lazily-indexable power-law (Zipf-like) device population: per-device
@@ -58,9 +79,7 @@ fn bounded_pareto(u: f64, min_size: usize, max_size: usize, alpha: f64) -> usize
 #[derive(Debug, Clone)]
 pub struct ZipfPopulation {
     devices: usize,
-    min_size: usize,
-    max_size: usize,
-    alpha: f64,
+    sizes: BoundedPareto,
     compute_spread: f64,
     seed: u64,
     total: u64,
@@ -84,9 +103,7 @@ impl ZipfPopulation {
         assert!(compute_spread >= 1.0, "ZipfPopulation: compute_spread must be >= 1");
         let mut pop = ZipfPopulation {
             devices,
-            min_size,
-            max_size,
-            alpha,
+            sizes: BoundedPareto::new(min_size, max_size, alpha),
             compute_spread,
             seed,
             total: 0,
@@ -112,8 +129,7 @@ impl ZipfPopulation {
     /// Device `d`'s sample count `D_d` — O(1), stable across runs.
     pub fn size_of(&self, device: usize) -> usize {
         assert!(device < self.devices, "ZipfPopulation: device out of range");
-        let u: f64 = self.stream(device).gen_range(0.0..1.0);
-        bounded_pareto(u, self.min_size, self.max_size, self.alpha)
+        self.sizes.quantile(self.stream(device).gen_range(0.0..1.0))
     }
 
     /// Device `d`'s compute-speed multiplier, log-uniform in
@@ -289,6 +305,29 @@ mod tests {
         let mut sorted = s1.clone();
         sorted.sort_unstable();
         assert!(sorted[50] < (37 + 3277) / 2);
+    }
+
+    /// Reference: the inverse CDF evaluated from scratch at every call.
+    fn bounded_pareto_ref(u: f64, min_size: usize, max_size: usize, alpha: f64) -> usize {
+        let a = 1.0 - alpha;
+        let (lo, hi) = (min_size as f64, max_size as f64);
+        let s = if a.abs() < 1e-9 {
+            (lo.ln() + u * (hi.ln() - lo.ln())).exp()
+        } else {
+            (lo.powf(a) + u * (hi.powf(a) - lo.powf(a))).powf(1.0 / a)
+        };
+        (s.round() as usize).clamp(min_size, max_size)
+    }
+
+    #[test]
+    fn bounded_pareto_quantile_matches_the_per_call_formula() {
+        for (lo, hi, alpha) in [(37, 3277, 1.5), (40, 120, 1.5), (10, 1000, 1.0), (5, 5, 0.5)] {
+            let dist = BoundedPareto::new(lo, hi, alpha);
+            for i in 0..1000 {
+                let u = i as f64 / 1000.0 + 1e-4;
+                assert_eq!(dist.quantile(u), bounded_pareto_ref(u, lo, hi, alpha), "u={u}");
+            }
+        }
     }
 
     #[test]

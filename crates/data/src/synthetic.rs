@@ -78,7 +78,9 @@ pub fn generate(cfg: &SyntheticConfig, sizes: &[usize]) -> Vec<Dataset> {
 pub struct SyntheticPool {
     cfg: SyntheticConfig,
     diag_std: Vec<f64>,
-    shared: Option<ModelDraw>,
+    /// Boxed: the pool sits inline in the sim crate's lazy population,
+    /// which must stay small next to its materialized sibling.
+    shared: Option<Box<ModelDraw>>,
 }
 
 impl SyntheticPool {
@@ -90,7 +92,7 @@ impl SyntheticPool {
         // from stream u64::MAX (never a device id).
         let shared = if cfg.iid {
             let mut rng = device_rng(cfg.seed, u64::MAX);
-            Some(draw_model(&mut rng, 0.0, &cfg))
+            Some(Box::new(draw_model(&mut rng, 0.0, &cfg)))
         } else {
             None
         };
@@ -107,7 +109,7 @@ impl SyntheticPool {
         let cfg = &self.cfg;
         let unit = Normal::new(0.0, 1.0).expect("unit normal");
         let mut rng = device_rng(cfg.seed, n as u64);
-        let (w, b, v) = if let Some((ref sw, ref sb, ref sv)) = self.shared {
+        let (w, b, v) = if let Some((sw, sb, sv)) = self.shared.as_deref() {
             (sw.clone(), sb.clone(), sv.clone())
         } else {
             let u_n: f64 = if cfg.alpha > 0.0 {
@@ -134,7 +136,14 @@ impl SyntheticPool {
             for j in 0..cfg.dim {
                 row[j] = v[j] + self.diag_std[j] * unit.sample(&mut rng);
             }
-            logits.copy_from_slice(&w.matvec(row));
+            fedprox_tensor::kernel::try_matvec_into(
+                w.as_slice(),
+                w.rows(),
+                w.cols(),
+                row,
+                &mut logits,
+            )
+            .expect("softmax weights are num_classes × dim");
             for (l, bi) in logits.iter_mut().zip(&b) {
                 *l += bi;
             }

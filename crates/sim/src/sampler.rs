@@ -176,17 +176,40 @@ mod tests {
         50
     }
 
+    /// Reference: the dense partial Fisher–Yates over a materialized
+    /// `(0..n)` pool — the draws the sparse `index::sample` must repeat.
+    fn dense_fisher_yates(rng: &mut impl Rng, n: usize, k: usize) -> Vec<usize> {
+        let mut pool: Vec<usize> = (0..n).collect();
+        for i in 0..k {
+            let j = rng.gen_range(i..n);
+            pool.swap(i, j);
+        }
+        pool.truncate(k);
+        pool
+    }
+
     #[test]
     fn uniform_k_matches_sequential_stream() {
         // The sequential backend's draw for participation p over n
-        // devices: k = ceil(p n), stream (seed ^ 0x9A87, s).
-        let n = 10;
-        let (seed, s) = (7u64, 3usize);
-        let k = ((0.5 * n as f64).ceil() as usize).clamp(1, n);
-        let mut rng = fedprox_data::synthetic::device_rng(seed ^ 0x9A87, s as u64);
-        let expect = rand::seq::index::sample(&mut rng, n, k).into_vec();
-        let got = Sampler::new(SamplerSpec::UniformK(k)).sample(n, s, seed, uniform_sizes);
-        assert_eq!(got, expect);
+        // devices: k = ceil(p n), stream (seed ^ 0x9A87, s), taken by
+        // `index::sample` — which must reproduce the dense shuffle's
+        // values in order, including at the edges of (n, k).
+        let s = 3usize;
+        let grid = [(1, 1), (10, 1), (10, 5), (10, 9), (10, 10), (37, 36), (1_000_000, 8)];
+        for (n, k) in grid {
+            for seed in [0u64, 7, 29] {
+                let mut rng = fedprox_data::synthetic::device_rng(seed ^ 0x9A87, s as u64);
+                let expect = dense_fisher_yates(&mut rng, n, k);
+                let mut rng = fedprox_data::synthetic::device_rng(seed ^ 0x9A87, s as u64);
+                let got = rand::seq::index::sample(&mut rng, n, k).into_vec();
+                assert_eq!(got, expect, "n={n} k={k} seed={seed}");
+                if k < n {
+                    let got =
+                        Sampler::new(SamplerSpec::UniformK(k)).sample(n, s, seed, uniform_sizes);
+                    assert_eq!(got, expect, "sampler n={n} k={k} seed={seed}");
+                }
+            }
+        }
     }
 
     #[test]
