@@ -1,12 +1,18 @@
 #!/usr/bin/env sh
-# CI gate: build → test (default / workspace / check / telemetry) →
-# clippy → fedlint → fedtrace smoke → perf-smoke → fedscope-smoke →
-# fedresil-smoke → fedprof-smoke → fedobs-smoke → fedsim-smoke. Any
-# failing stage fails the run.
+# CI gate: build → e2ebench-build → test (default / workspace / check /
+# telemetry) → clippy → fedlint → fedtrace smoke → perf-smoke →
+# fedscope-smoke → fedresil-smoke → fedprof-smoke → fedobs-smoke →
+# fedsim-smoke. Any failing stage fails the run.
 set -eu
 
 echo "==> cargo build --release"
 cargo build --release
+
+# e2ebench-build: the repository benchmark is a package of its own that
+# builds the library crates by path. `--locked` fails when a library
+# change breaks the API it calls or would rewrite its lockfile.
+echo "==> e2ebench-build (benchmark package against the current library)"
+cargo build --release --offline --locked --manifest-path e2ebench/Cargo.toml
 
 echo "==> cargo test -q"
 cargo test -q

@@ -70,13 +70,13 @@ impl Default for CommonArgs {
 }
 
 impl CommonArgs {
-    /// The runner these flags select: the rayon-parallel in-process
-    /// backend by default, the simulated network with `--net`.
+    /// The runner these flags select: the sequential in-process backend
+    /// by default, the simulated network with `--net`.
     pub fn runner(&self) -> fedprox_core::RunnerKind {
         if self.net {
             fedprox_core::RunnerKind::Network(fedprox_core::config::NetRunnerOptions::default())
         } else {
-            fedprox_core::RunnerKind::Parallel
+            fedprox_core::RunnerKind::Sequential
         }
     }
 
@@ -196,7 +196,7 @@ mod tests {
         assert!(a.prof.is_none(), "--prof must default to off");
         assert!(a.obs.is_none(), "--obs must default to off");
         assert!(!a.net, "--net must default to off");
-        assert!(matches!(a.runner(), fedprox_core::RunnerKind::Parallel));
+        assert!(matches!(a.runner(), fedprox_core::RunnerKind::Sequential));
     }
 
     #[test]

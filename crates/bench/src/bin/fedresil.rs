@@ -45,7 +45,7 @@ fn fail(msg: &str) -> ! {
 fn usage() -> ! {
     eprintln!(
         "usage: fedresil [--devices N] [--rounds T] [--seed S] [--algorithm NAME]\n\
-         \x20               [--backend net|sequential|parallel] [--sec-per-grad-eval S]\n\
+         \x20               [--backend net|sequential] [--sec-per-grad-eval S]\n\
          \x20               [--crash DEV:ROUND]... [--offline DEV:FROM:TO]...\n\
          \x20               [--slow DEV:MULT:FROM:TO]... [--flaky DEV:PROB:FROM:TO]...\n\
          \x20               [--random-plan] [--drop-prob P] [--deadline SECONDS]\n\
@@ -228,8 +228,7 @@ fn main() {
             sec_per_grad_eval,
         }),
         "sequential" => RunnerKind::Sequential,
-        "parallel" => RunnerKind::Parallel,
-        other => fail(&format!("unknown backend '{other}' (net|sequential|parallel)")),
+        other => fail(&format!("unknown backend '{other}' (net|sequential)")),
     };
 
     let fed = synthetic_federation(1.0, 1.0, devices, 40, 120, seed);

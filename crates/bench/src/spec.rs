@@ -3,7 +3,7 @@
 //! runnable without writing Rust.
 
 use crate::datasets::{fashion_federation, mnist_federation, synthetic_federation, Federation};
-use fedprox_core::{Algorithm, FedConfig, History, RunnerKind};
+use fedprox_core::{Algorithm, FedConfig, History};
 use fedprox_models::{Cnn, CnnSpec, LossModel, Mlp, MultinomialLogistic};
 use fedprox_optim::estimator::EstimatorKind;
 use serde::{Deserialize, Serialize};
@@ -199,8 +199,7 @@ impl ExperimentSpec {
                     .with_rounds(self.rounds)
                     .with_seed(self.seed)
                     .with_eval_every(self.eval_every)
-                    .with_participation(self.participation)
-                    .with_runner(RunnerKind::Parallel);
+                    .with_participation(self.participation);
                 let h =
                     fedprox_core::FederatedTrainer::new(&model, &fed.devices, &fed.test, cfg)
                         .run()

@@ -3,11 +3,11 @@
 
 use crate::config::{FedConfig, NetRunnerOptions, RunnerKind};
 use crate::device::Device;
+use crate::engine::{validate_devices, Recorder, RoundEngine};
 use crate::error::FedError;
-use crate::metrics::{DivergenceCause, History, RoundRecord, RunningTotal};
-use crate::{eval, runner, server};
+use crate::metrics::History;
+use crate::server;
 use fedprox_data::Dataset;
-use fedprox_faults::{DeviceOutcome, RoundParticipation};
 use fedprox_models::LossModel;
 use fedprox_net::runtime::TryFnWorker;
 use fedprox_net::{DeviceReply, NetworkRuntime, WorkerError};
@@ -62,14 +62,11 @@ pub struct FederatedTrainer<'a, M: LossModel> {
 }
 
 impl<'a, M: LossModel> FederatedTrainer<'a, M> {
-    /// Build a trainer. `devices` must be non-empty and indexed to match
-    /// their `id` fields (aggregation weights come from shard sizes).
+    /// Build a trainer. `devices` must be non-empty, indexed to match
+    /// their `id` fields (aggregation weights come from shard sizes) and
+    /// hold data; the `run*` methods report a violation as a
+    /// [`FedError`].
     pub fn new(model: &'a M, devices: &'a [Device], test: &'a Dataset, cfg: FedConfig) -> Self {
-        assert!(!devices.is_empty(), "trainer needs at least one device");
-        for (i, d) in devices.iter().enumerate() {
-            assert_eq!(d.id, i, "device ids must match their position");
-            assert!(!d.data.is_empty(), "device {i} has no data");
-        }
         FederatedTrainer { model, devices, test, cfg }
     }
 
@@ -88,279 +85,15 @@ impl<'a, M: LossModel> FederatedTrainer<'a, M> {
         self.run_from(w0)
     }
 
-    /// Run from an explicit initial global model.
+    /// Run from an explicit initial global model. The in-process runners
+    /// share the [`RoundEngine`]; the networked one hands the loop to the
+    /// actor runtime.
     pub fn run_from(&self, w0: Vec<f64>) -> Result<History, FedError> {
-        match self.cfg.runner.clone() {
-            RunnerKind::Sequential => self.run_local_loop(w0, false),
-            RunnerKind::Parallel => self.run_local_loop(w0, true),
-            RunnerKind::Network(opts) => self.run_networked(w0, &opts),
-            // The event-driven engine lives above this crate (it can
-            // synthesize its population lazily); `fedprox_sim::SimEngine`
-            // consumes the same config, including these options.
-            RunnerKind::EventDriven(_) => Err(FedError::EventDrivenBackend),
-        }
-    }
-
-    /// Sequential / rayon-parallel backends share this loop.
-    fn run_local_loop(&self, w0: Vec<f64>, parallel: bool) -> Result<History, FedError> {
-        let weights = server::weights_from_sizes(
-            &self.devices.iter().map(Device::samples).collect::<Vec<_>>(),
-        );
-        let mut global = w0;
-        let mut agg = vec![0.0; global.len()];
-        let mut records = Vec::new();
-        let mut divergence = DivergenceCause::None;
-        let mut total_grad_evals = RunningTotal::new();
-        let mut rounds_run = 0;
-
-        // Round 0: the initial global model, so every curve starts from
-        // the same baseline (and divergence is visible as an *increase*).
-        records.push(self.evaluate(0, &global, None, 0, 0.0, 0));
-
-        #[cfg(feature = "telemetry")]
-        let mut monitor = self.health_monitor(&global);
-        #[cfg(feature = "telemetry")]
-        if let Some(m) = monitor.as_mut() {
-            let r = &records[0];
-            m.observe_eval(0, r.train_loss, r.grad_norm_sq, None);
-        }
-
-        let n = self.devices.len();
-        let resil = self.cfg.resilience.as_ref();
-        let mut participation: Vec<RoundParticipation> = Vec::new();
-        let mut dead = vec![false; n];
-        for s in 1..=self.cfg.rounds {
-            fedprox_telemetry::span!("core", "round", "s" => s);
-            // Partial participation: sample ⌈pN⌉ devices for this round
-            // from a stream derived from (seed, round) only, so the
-            // selection is identical across backends.
-            let participants: Vec<usize> = if self.cfg.participation >= 1.0 {
-                (0..n).collect()
-            } else {
-                let k = ((self.cfg.participation * n as f64).ceil() as usize).clamp(1, n);
-                let mut rng = fedprox_data::synthetic::device_rng(
-                    self.cfg.seed ^ 0x9A87,
-                    s as u64,
-                );
-                rand::seq::index::sample(&mut rng, n, k).into_vec()
-            };
-            // Resilience: apply the fault plan to the round's sample —
-            // crashed devices drop out for good, offline windows sit the
-            // round out — then gate on quorum before any local work. A
-            // round without enough responding weight is skipped (global
-            // model unchanged) and counted, never fatal.
-            let participants = if let Some(r) = resil {
-                let mut outcomes = vec![DeviceOutcome::NotSelected; n];
-                let mut active = Vec::with_capacity(participants.len());
-                for &i in &participants {
-                    if dead[i] || r.plan.is_crashed(i, s) {
-                        dead[i] = true;
-                        outcomes[i] = DeviceOutcome::Crashed;
-                    } else if r.plan.is_offline(i, s) {
-                        outcomes[i] = DeviceOutcome::Offline;
-                    } else {
-                        outcomes[i] = DeviceOutcome::Responded;
-                        active.push(i);
-                    }
-                }
-                let weight_sum: f64 = active.iter().map(|&i| weights[i]).sum();
-                let quorum_ok = r.quorum.met(weight_sum, active.len());
-                participation.push(RoundParticipation {
-                    round: s,
-                    outcomes,
-                    responder_weight: weight_sum,
-                    skipped: !quorum_ok,
-                    sampled: None,
-                });
-                #[cfg(feature = "telemetry")]
-                if let Some(m) = monitor.as_mut() {
-                    // `participation` is non-empty: pushed just above.
-                    if let Some(p) = participation.last() {
-                        m.note_participation(s, p.responder_fraction());
-                    }
-                }
-                if !quorum_ok {
-                    // Quorum skip fires the flight recorder, blamed on
-                    // the first crashed device when any crashed this
-                    // round, else the first non-responder.
-                    #[cfg(feature = "telemetry")]
-                    if let Some(p) = participation.last() {
-                        let device = p
-                            .outcomes
-                            .iter()
-                            .position(|o| *o == DeviceOutcome::Crashed)
-                            .or_else(|| {
-                                p.outcomes.iter().position(|o| {
-                                    !matches!(
-                                        o,
-                                        DeviceOutcome::Responded | DeviceOutcome::NotSelected
-                                    )
-                                })
-                            })
-                            .map(|d| d as u32);
-                        fedprox_telemetry::collector::trigger_postmortem(
-                            "quorum_skip",
-                            s as u32,
-                            device,
-                        );
-                    }
-                    rounds_run = s;
-                    if s.is_multiple_of(self.cfg.eval_every) || s == self.cfg.rounds {
-                        let rec =
-                            self.evaluate(s, &global, None, total_grad_evals.get(), 0.0, 0);
-                        #[cfg(feature = "telemetry")]
-                        if let Some(m) = monitor.as_mut() {
-                            m.observe_eval(s, rec.train_loss, rec.grad_norm_sq, None);
-                        }
-                        records.push(rec);
-                    }
-                    continue;
-                }
-                active
-            } else {
-                participants
-            };
-            // FSVRG: the server aggregates and re-distributes the global
-            // gradient before the local updates (one extra exchange).
-            let global_grad = if self.cfg.algorithm.needs_global_gradient() {
-                let mut g = vec![0.0; global.len()];
-                eval::global_grad(self.model, self.devices, &global, &mut g);
-                // Every device spent a full local gradient pass for it.
-                for d in self.devices {
-                    total_grad_evals.add(d.samples() as u64);
-                }
-                Some(g)
-            } else {
-                None
-            };
-            let updates = runner::run_round_subset(
-                self.model,
-                self.devices,
-                &participants,
-                &global,
-                &self.cfg,
-                s - 1,
-                parallel,
-                global_grad.as_deref(),
-            )?;
-            for u in &updates {
-                total_grad_evals.add(u.grad_evals as u64);
-            }
-            #[cfg(feature = "telemetry")]
-            if let Some(m) = monitor.as_mut() {
-                let mut dir = fedprox_optim::DirectionStats::default();
-                let mut work: Vec<(usize, u64)> = Vec::with_capacity(updates.len());
-                for (&i, u) in participants.iter().zip(&updates) {
-                    dir.merge(&u.dir_stats);
-                    work.push((i, u.grad_evals as u64));
-                }
-                m.note_round(s, &dir, &work);
-            }
-
-            // Optional θ measurement against the pre-aggregation global.
-            let theta = if self.cfg.measure_theta {
-                let mut sum = 0.0;
-                let mut wsum = 0.0;
-                for (&i, u) in participants.iter().zip(&updates) {
-                    let d = &self.devices[i];
-                    sum += weights[i] * d.theta_measured(self.model, &global, &u.w, self.cfg.mu);
-                    wsum += weights[i];
-                }
-                Some(sum / wsum)
-            } else {
-                None
-            };
-
-            let locals: Vec<(&[f64], f64)> = updates
-                .iter()
-                .zip(&participants)
-                .map(|(u, &i)| (u.w.as_slice(), weights[i]))
-                .collect();
-            server::aggregate(&locals, &mut agg);
-            std::mem::swap(&mut global, &mut agg);
-            rounds_run = s;
-
-            if !vecops::all_finite(&global) {
-                // Attribute the blowup to the first participating device
-                // whose local model was itself non-finite, when any was
-                // (aggregation-only blowups report no device).
-                let device = participants
-                    .iter()
-                    .zip(&updates)
-                    .find(|(_, u)| !vecops::all_finite(&u.w))
-                    .map(|(&i, _)| i);
-                divergence = DivergenceCause::NonFinite { round: s, device };
-                #[cfg(feature = "telemetry")]
-                {
-                    if let Some(m) = monitor.as_mut() {
-                        m.observe_non_finite(s, device);
-                    }
-                    fedprox_telemetry::collector::trigger_postmortem(
-                        "non_finite",
-                        s as u32,
-                        device.map(|d| d as u32),
-                    );
-                }
-                records.push(self.divergence_record(s, theta, total_grad_evals.get()));
-                break;
-            }
-            if s.is_multiple_of(self.cfg.eval_every) || s == self.cfg.rounds {
-                let rec = self.evaluate(s, &global, theta, total_grad_evals.get(), 0.0, 0);
-                let bad = !rec.train_loss.is_finite() || rec.train_loss > self.cfg.loss_guard;
-                #[cfg(feature = "telemetry")]
-                if let Some(m) = monitor.as_mut() {
-                    if bad {
-                        m.observe_loss_guard(s, rec.train_loss, self.cfg.loss_guard);
-                    } else {
-                        m.observe_eval(s, rec.train_loss, rec.grad_norm_sq, rec.theta_measured);
-                    }
-                }
-                records.push(rec);
-                if bad {
-                    divergence = DivergenceCause::LossGuard { round: s };
-                    #[cfg(feature = "telemetry")]
-                    fedprox_telemetry::collector::trigger_postmortem("loss_guard", s as u32, None);
-                    break;
-                }
-            }
-        }
-
-        #[cfg(feature = "telemetry")]
-        Self::flush_monitor(monitor);
-
-        Ok(History {
-            config: self.cfg.summary(),
-            records,
-            divergence,
-            rounds_run,
-            total_sim_time: 0.0,
-            final_model: global,
-            participation,
-        })
-    }
-
-    /// Build the fedscope health monitor for an armed-telemetry run;
-    /// `None` (zero cost) otherwise. The σ̄² measurement it performs is
-    /// read-only on model and data — it draws from no RNG stream — so
-    /// arming cannot perturb the training trajectory.
-    #[cfg(feature = "telemetry")]
-    fn health_monitor(&self, w0: &[f64]) -> Option<crate::health::HealthMonitor> {
-        if !fedprox_telemetry::collector::is_armed() {
-            return None;
-        }
-        let sigma = eval::empirical_sigma_bar_sq(self.model, self.devices, w0);
-        Some(crate::health::HealthMonitor::new(crate::health::HealthConfig::from_run(
-            &self.cfg, sigma,
-        )))
-    }
-
-    /// Hand a monitor's accumulated samples and anomalies to the armed
-    /// collector at the end of a run.
-    #[cfg(feature = "telemetry")]
-    fn flush_monitor(monitor: Option<crate::health::HealthMonitor>) {
-        if let Some(m) = monitor {
-            for e in m.into_events() {
-                fedprox_telemetry::collector::record_event(e);
+        match &self.cfg.runner {
+            RunnerKind::Network(opts) => self.run_networked(w0, opts),
+            RunnerKind::Sequential | RunnerKind::EventDriven(_) => {
+                RoundEngine::for_trainer(self.model, self.devices, self.test, self.cfg.clone())
+                    .run_from(w0)
             }
         }
     }
@@ -369,14 +102,13 @@ impl<'a, M: LossModel> FederatedTrainer<'a, M> {
     /// recorded from its per-round callback and timing is patched in from
     /// the virtual clock afterwards.
     fn run_networked(&self, w0: Vec<f64>, opts: &NetRunnerOptions) -> Result<History, FedError> {
-        assert!(
-            self.cfg.participation >= 1.0,
-            "the networked backend requires full participation; use Sequential/Parallel"
-        );
-        assert!(
-            !self.cfg.algorithm.needs_global_gradient(),
-            "FSVRG's extra gradient exchange is not modelled by the networked backend"
-        );
+        validate_devices(self.devices)?;
+        if self.cfg.participation < 1.0 {
+            return Err(FedError::PartialParticipationUnsupported);
+        }
+        if self.cfg.algorithm.needs_global_gradient() {
+            return Err(FedError::FsvrgUnsupported { backend: "the networked backend" });
+        }
         let weights = server::weights_from_sizes(
             &self.devices.iter().map(Device::samples).collect::<Vec<_>>(),
         );
@@ -406,21 +138,12 @@ impl<'a, M: LossModel> FederatedTrainer<'a, M> {
             })
             .collect();
 
-        let mut records = Vec::new();
-        let mut divergence = DivergenceCause::None;
-        let cfg = &self.cfg;
-        records.push(self.evaluate(0, &w0, None, 0, 0.0, 0));
         // Device-level direction probes never cross the simulated wire
         // (the frame format must not depend on telemetry state), so the
         // networked monitor carries zero direction statistics and gets
         // its straggler skew backfilled from the clock afterwards.
-        #[cfg(feature = "telemetry")]
-        let mut monitor = self.health_monitor(&w0);
-        #[cfg(feature = "telemetry")]
-        if let Some(m) = monitor.as_mut() {
-            let r = &records[0];
-            m.observe_eval(0, r.train_loss, r.grad_norm_sq, None);
-        }
+        let mut recorder =
+            Recorder::new(self.model, Some(self.devices), Some(self.test), &self.cfg, &w0);
         // The runtime's own resilience option wins when both are set;
         // otherwise the trainer-level policy is handed down.
         let mut net_opts = opts.net.clone();
@@ -430,50 +153,15 @@ impl<'a, M: LossModel> FederatedTrainer<'a, M> {
         let report = NetworkRuntime.run(
             workers,
             w0,
-            cfg.rounds as u32,
+            self.cfg.rounds as u32,
             &net_opts,
             |round, global| {
                 let s = round as usize + 1;
                 if !vecops::all_finite(global) {
-                    divergence = DivergenceCause::NonFinite { round: s, device: None };
-                    #[cfg(feature = "telemetry")]
-                    {
-                        if let Some(m) = monitor.as_mut() {
-                            m.observe_non_finite(s, None);
-                        }
-                        fedprox_telemetry::collector::trigger_postmortem(
-                            "non_finite",
-                            s as u32,
-                            None,
-                        );
-                    }
-                    records.push(self.divergence_record(s, None, 0));
+                    recorder.non_finite(s, None, None, 0);
                     return false;
                 }
-                if s.is_multiple_of(cfg.eval_every) || s == cfg.rounds {
-                    let rec = self.evaluate(s, global, None, 0, 0.0, 0);
-                    let bad = !rec.train_loss.is_finite() || rec.train_loss > cfg.loss_guard;
-                    #[cfg(feature = "telemetry")]
-                    if let Some(m) = monitor.as_mut() {
-                        if bad {
-                            m.observe_loss_guard(s, rec.train_loss, cfg.loss_guard);
-                        } else {
-                            m.observe_eval(s, rec.train_loss, rec.grad_norm_sq, None);
-                        }
-                    }
-                    records.push(rec);
-                    if bad {
-                        divergence = DivergenceCause::LossGuard { round: s };
-                        #[cfg(feature = "telemetry")]
-                        fedprox_telemetry::collector::trigger_postmortem(
-                            "loss_guard",
-                            s as u32,
-                            None,
-                        );
-                        return false;
-                    }
-                }
-                true
+                !recorder.evaluate_round(s, global, None, 0, 0.0, 0)
             },
         );
         // Transport errors are protocol/configuration bugs in the
@@ -482,15 +170,13 @@ impl<'a, M: LossModel> FederatedTrainer<'a, M> {
         let report = report.map_err(FedError::Net)?;
 
         #[cfg(feature = "telemetry")]
-        {
-            if let Some(m) = monitor.as_mut() {
-                m.set_skews(&report.round_skews);
-                for p in &report.participation {
-                    m.note_participation(p.round, p.responder_fraction());
-                }
+        if let Some(m) = recorder.monitor() {
+            m.set_skews(&report.round_skews);
+            for p in &report.participation {
+                m.note_participation(p.round, p.responder_fraction());
             }
-            Self::flush_monitor(monitor);
         }
+        let (mut records, divergence) = recorder.finish();
 
         // Patch per-round simulated time and traffic into the records.
         let mut cumulative = Vec::with_capacity(report.round_durations.len());
@@ -522,48 +208,13 @@ impl<'a, M: LossModel> FederatedTrainer<'a, M> {
             participation: report.participation,
         })
     }
-
-    fn evaluate(
-        &self,
-        round: usize,
-        global: &[f64],
-        theta: Option<f64>,
-        grad_evals: u64,
-        sim_time: f64,
-        bytes: u64,
-    ) -> RoundRecord {
-        fedprox_telemetry::span!("core", "evaluate", "round" => round);
-        RoundRecord {
-            round,
-            train_loss: eval::global_loss(self.model, self.devices, global),
-            test_accuracy: eval::test_accuracy(self.model, self.test, global),
-            grad_norm_sq: eval::stationarity_gap(self.model, self.devices, global),
-            theta_measured: theta,
-            sim_time,
-            bytes,
-            grad_evals,
-        }
-    }
-
-    fn divergence_record(&self, round: usize, theta: Option<f64>, grad_evals: u64) -> RoundRecord {
-        RoundRecord {
-            round,
-            train_loss: f64::INFINITY,
-            test_accuracy: 0.0,
-            grad_norm_sq: f64::INFINITY,
-            theta_measured: theta,
-            sim_time: 0.0,
-            bytes: 0,
-            grad_evals,
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::RunnerKind;
     use fedprox_data::split::split_federation;
+    use fedprox_faults::DeviceOutcome;
     use fedprox_data::synthetic::{generate, SyntheticConfig};
     use fedprox_models::MultinomialLogistic;
     use fedprox_optim::estimator::EstimatorKind;
@@ -606,22 +257,27 @@ mod tests {
     }
 
     #[test]
-    fn sequential_and_parallel_identical() {
+    fn sequential_and_event_driven_identical() {
+        use crate::config::SimRunnerOptions;
         let (devices, test, model) = federation(2);
         let cfg = base_cfg(Algorithm::FedProxVr(EstimatorKind::Sarah));
         let h_seq = FederatedTrainer::new(&model, &devices, &test, cfg.clone()).run().expect("run");
-        let h_par = FederatedTrainer::new(
+        let h_sim = FederatedTrainer::new(
             &model,
             &devices,
             &test,
-            cfg.with_runner(RunnerKind::Parallel),
+            cfg.with_runner(RunnerKind::EventDriven(SimRunnerOptions::default())),
         )
         .run().expect("run");
-        assert_eq!(h_seq.records.len(), h_par.records.len());
-        for (a, b) in h_seq.records.iter().zip(&h_par.records) {
-            assert_eq!(a.train_loss, b.train_loss, "round {}", a.round);
+        assert_eq!(h_seq.records.len(), h_sim.records.len());
+        for (a, b) in h_seq.records.iter().zip(&h_sim.records) {
+            assert_eq!(a.train_loss.to_bits(), b.train_loss.to_bits(), "round {}", a.round);
             assert_eq!(a.test_accuracy, b.test_accuracy);
         }
+        assert_eq!(h_seq.final_model, h_sim.final_model);
+        // Only the event-driven run keeps a virtual clock.
+        assert_eq!(h_seq.total_sim_time, 0.0);
+        assert!(h_sim.total_sim_time > 0.0);
     }
 
     #[test]
@@ -701,12 +357,12 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "not modelled by the networked backend")]
     fn networked_rejects_fsvrg() {
         let (devices, test, model) = federation(11);
         let cfg = base_cfg(Algorithm::Fsvrg)
             .with_runner(RunnerKind::Network(NetRunnerOptions::default()));
-        let _ = FederatedTrainer::new(&model, &devices, &test, cfg).run().expect("run");
+        let got = FederatedTrainer::new(&model, &devices, &test, cfg).run();
+        assert!(matches!(got, Err(FedError::FsvrgUnsupported { .. })), "{got:?}");
     }
 
     #[test]
@@ -747,13 +403,13 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "full participation")]
     fn networked_rejects_partial_participation() {
         let (devices, test, model) = federation(8);
         let cfg = base_cfg(Algorithm::FedAvg)
             .with_participation(0.5)
             .with_runner(RunnerKind::Network(NetRunnerOptions::default()));
-        let _ = FederatedTrainer::new(&model, &devices, &test, cfg).run().expect("run");
+        let got = FederatedTrainer::new(&model, &devices, &test, cfg).run();
+        assert!(matches!(got, Err(FedError::PartialParticipationUnsupported)), "{got:?}");
     }
 
     #[test]
@@ -842,9 +498,15 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "at least one device")]
     fn empty_federation_rejected() {
         let (_, test, model) = federation(6);
-        let _ = FederatedTrainer::new(&model, &[], &test, base_cfg(Algorithm::FedAvg));
+        for runner in [
+            RunnerKind::Sequential,
+            RunnerKind::Network(NetRunnerOptions::default()),
+        ] {
+            let cfg = base_cfg(Algorithm::FedAvg).with_runner(runner);
+            let got = FederatedTrainer::new(&model, &[], &test, cfg).run();
+            assert!(matches!(got, Err(FedError::EmptyFederation)), "{got:?}");
+        }
     }
 }

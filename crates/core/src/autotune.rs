@@ -149,7 +149,6 @@ pub fn autotune<M: LossModel>(
 mod tests {
     use super::*;
     use crate::algorithm::FederatedTrainer;
-    use crate::config::RunnerKind;
     use fedprox_data::split::split_federation;
     use fedprox_data::synthetic::{generate, SyntheticConfig};
     use fedprox_models::MultinomialLogistic;
@@ -187,8 +186,7 @@ mod tests {
         let cfg = report
             .config
             .with_rounds(8)
-            .with_eval_every(8)
-            .with_runner(RunnerKind::Parallel);
+            .with_eval_every(8);
         let h = FederatedTrainer::new(&model, &devices, &test, cfg).run().expect("run");
         assert!(!h.diverged(), "tuned config diverged");
         assert!(

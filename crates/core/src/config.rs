@@ -12,23 +12,21 @@ use serde::{Deserialize, Serialize};
 #[allow(clippy::large_enum_variant)]
 #[derive(Debug, Clone)]
 pub enum RunnerKind {
-    /// One device after another on the calling thread — fully
-    /// deterministic, used by tests and as the reference trajectory.
+    /// The in-process round engine over the trainer's devices, one
+    /// device after another on the calling thread, with no virtual
+    /// clock — the reference trajectory. `participation < 1` samples
+    /// `⌈pN⌉` devices a round.
     Sequential,
-    /// Devices fan out across rayon — same trajectory as `Sequential`
-    /// for a fixed seed (per-device RNG streams), just faster.
-    Parallel,
     /// The `fedprox-net` actor runtime with simulated delays.
     Network(NetRunnerOptions),
-    /// The `fedprox-sim` event-driven backend: compact passive device
-    /// state machines on a sharded virtual-time event loop, with
-    /// per-round client sampling. Scales to million-device populations
-    /// with memory bounded by the active set. [`FederatedTrainer`]
-    /// cannot host it (the engine lives above this crate); drive the
-    /// run through `fedprox_sim::SimEngine`, which consumes the same
-    /// `FedConfig`.
+    /// The same in-process round engine with a per-round client sampler
+    /// and a virtual clock (download/compute/upload legs, deadlines).
+    /// [`FederatedTrainer`] runs it over its devices;
+    /// [`RoundEngine`] also runs it over a lazily synthesized
+    /// population, with memory bounded by the active set.
     ///
     /// [`FederatedTrainer`]: crate::algorithm::FederatedTrainer
+    /// [`RoundEngine`]: crate::engine::RoundEngine
     EventDriven(SimRunnerOptions),
 }
 
@@ -70,15 +68,11 @@ pub enum SamplerSpec {
     Bernoulli(f64),
 }
 
-/// Options for the event-driven (`fedprox-sim`) backend.
+/// Options for the event-driven backend.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SimRunnerOptions {
     /// Per-round client sampling strategy.
     pub sampler: SamplerSpec,
-    /// Event-loop shard count (≥ 1). Sharding is a memory/locality knob
-    /// only: events are ordered by (virtual time, stable device id)
-    /// across shards, so the trajectory is shard-count invariant.
-    pub shards: usize,
     /// Compute-cost model: seconds per per-sample gradient evaluation.
     pub sec_per_grad_eval: f64,
     /// Server → device transfer time per round, seconds.
@@ -95,7 +89,6 @@ impl Default for SimRunnerOptions {
     fn default() -> Self {
         SimRunnerOptions {
             sampler: SamplerSpec::Full,
-            shards: 8,
             sec_per_grad_eval: 1e-6,
             downlink_s: 0.05,
             uplink_s: 0.05,
@@ -108,12 +101,6 @@ impl SimRunnerOptions {
     /// Set the sampler.
     pub fn with_sampler(mut self, sampler: SamplerSpec) -> Self {
         self.sampler = sampler;
-        self
-    }
-    /// Set the event-loop shard count.
-    pub fn with_shards(mut self, shards: usize) -> Self {
-        assert!(shards >= 1, "event loop needs at least one shard");
-        self.shards = shards;
         self
     }
     /// Set the compute-cost model (seconds per gradient evaluation).
@@ -167,7 +154,10 @@ pub struct FedConfig {
     /// Fraction of devices sampled per round, in `(0, 1]`. The paper runs
     /// full participation (1.0, the default); this is the standard FedAvg
     /// `C` knob for the massive-fleet setting the paper's introduction
-    /// motivates. Only the sequential/parallel backends support < 1.0.
+    /// motivates. The sequential backend samples `⌈pN⌉` devices a round
+    /// when < 1.0; the event-driven backend takes its sampler from
+    /// [`SimRunnerOptions`] instead, and the networked backend rejects
+    /// < 1.0.
     pub participation: f64,
     /// Override the local step-size schedule. `None` (default) uses the
     /// paper's fixed `η = 1/(βL)`; setting e.g.

@@ -21,11 +21,30 @@ pub enum FedError {
     /// — in the in-process simulation these are protocol or
     /// configuration bugs, never training dynamics).
     Net(NetError),
-    /// `RunnerKind::EventDriven` was selected on the in-process trainer.
-    /// The event-driven engine lives above this crate (it synthesizes
-    /// populations lazily); drive the run through
-    /// `fedprox_sim::SimEngine` with the same `FedConfig`.
-    EventDrivenBackend,
+    /// The federation has no devices.
+    EmptyFederation,
+    /// A materialized device's `id` is not its position in the slice
+    /// (aggregation weights and fault plans address devices by id).
+    DeviceIdMismatch {
+        /// Position in the device slice.
+        position: usize,
+        /// The `id` the device carries.
+        id: usize,
+    },
+    /// A device holds no training samples.
+    EmptyShard {
+        /// The device's id.
+        device: usize,
+    },
+    /// FSVRG was selected on a backend that cannot distribute its
+    /// full-population global gradient `∇F̄(w̄)`.
+    FsvrgUnsupported {
+        /// The backend that was asked to.
+        backend: &'static str,
+    },
+    /// `participation < 1` was selected on the networked backend, which
+    /// only runs full participation.
+    PartialParticipationUnsupported,
 }
 
 impl fmt::Display for FedError {
@@ -36,11 +55,18 @@ impl fmt::Display for FedError {
                 "fsvrg: round {round} local update requires the server-distributed global gradient"
             ),
             FedError::Net(e) => write!(f, "networked backend: {e}"),
-            FedError::EventDrivenBackend => write!(
+            FedError::EmptyFederation => write!(f, "the federation has no devices"),
+            FedError::DeviceIdMismatch { position, id } => {
+                write!(f, "device at position {position} has id {id}; ids must match positions")
+            }
+            FedError::EmptyShard { device } => write!(f, "device {device} has no data"),
+            FedError::FsvrgUnsupported { backend } => write!(
                 f,
-                "the event-driven backend is hosted by fedprox-sim's SimEngine, \
-                 not FederatedTrainer"
+                "fsvrg: the global-gradient exchange is not supported by {backend}"
             ),
+            FedError::PartialParticipationUnsupported => {
+                write!(f, "the networked backend requires full participation")
+            }
         }
     }
 }
@@ -49,7 +75,7 @@ impl std::error::Error for FedError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             FedError::Net(e) => Some(e),
-            FedError::MissingGlobalGradient { .. } | FedError::EventDrivenBackend => None,
+            _ => None,
         }
     }
 }

@@ -3,9 +3,15 @@
 //! * [`config`] — experiment configuration ([`config::FedConfig`]),
 //! * [`device`] / [`server`] — the two actors of Algorithm 1,
 //! * [`algorithm`] — the [`algorithm::FederatedTrainer`] driving global
-//!   iterations for FedProxVR (SVRG / SARAH) and the FedAvg baseline,
-//! * [`runner`] — sequential, rayon-parallel and networked execution
-//!   backends producing identical trajectories for a fixed seed,
+//!   iterations for FedProxVR (SVRG / SARAH) and the FedAvg baseline on
+//!   the in-process engine or the networked actor runtime,
+//! * [`engine`] — the [`engine::RoundEngine`], the one in-process round
+//!   loop (sample, fault-filter, quorum-gate, local solves, aggregate,
+//!   evaluate) behind the sequential and event-driven runners,
+//! * [`population`] — materialized or lazily synthesized device
+//!   populations the engine runs over,
+//! * [`sampler`] — per-round client sampling (full, uniform-K,
+//!   weighted-K, Bernoulli-p),
 //! * [`error`] — typed run failures ([`error::FedError`]): contract
 //!   violations and transport errors, as values instead of panics,
 //! * [`eval`] — global loss / accuracy / gradient-norm / σ̄² measurement,
@@ -24,12 +30,14 @@ pub mod algorithm;
 pub mod autotune;
 pub mod config;
 pub mod device;
+pub mod engine;
 pub mod error;
 pub mod eval;
 pub mod health;
 pub mod metrics;
 pub mod paramopt;
-pub mod runner;
+pub mod population;
+pub mod sampler;
 pub mod search;
 pub mod server;
 pub mod theory;
@@ -37,6 +45,9 @@ pub mod theory;
 pub use algorithm::{Algorithm, FederatedTrainer};
 pub use config::{FedConfig, RunnerKind, SamplerSpec, SimRunnerOptions};
 pub use device::Device;
+pub use engine::{RoundEngine, RoundStats};
 pub use error::FedError;
 pub use health::{HealthConfig, HealthMonitor};
 pub use metrics::{DivergenceCause, History, RoundRecord};
+pub use population::{LazyPopulation, Population};
+pub use sampler::Sampler;

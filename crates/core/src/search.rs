@@ -116,7 +116,7 @@ pub fn random_search<M: LossModel>(
             batch_size: batch,
             rounds,
             seed: seed.wrapping_add(t as u64),
-            runner: RunnerKind::Parallel,
+            runner: RunnerKind::Sequential,
             ..base.clone()
         };
         let history = FederatedTrainer::new(model, devices, test, cfg).run()?;

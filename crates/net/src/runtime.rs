@@ -750,7 +750,7 @@ impl NetworkRuntime {
                                     fedprox_telemetry::collector::trigger_postmortem(
                                         "quorum_skip",
                                         s as u32,
-                                        attribute_skip(&rec.outcomes),
+                                        attribute_skip(rec),
                                     );
                                 }
                             }
@@ -848,8 +848,9 @@ fn skew_from_finishes(mut finishes: Vec<f64>) -> f64 {
 }
 
 /// Emit the per-round simulation observations: one [`DeviceRound`] per
-/// device (straggler lag = finish time minus the round's median finish),
-/// one [`Bytes`] per direction, and the closing [`RoundEnd`]. Everything
+/// `(stable id, legs)` entry (straggler lag = finish time minus the
+/// round's median finish), one [`Bytes`] per direction, and the closing
+/// [`RoundEnd`]; `round` is 0-based. Everything
 /// here derives from the virtual clock, so armed and disarmed runs stay
 /// bitwise-identical in their training output.
 ///
@@ -857,7 +858,7 @@ fn skew_from_finishes(mut finishes: Vec<f64>) -> f64 {
 /// [`Bytes`]: fedprox_telemetry::event::Event::Bytes
 /// [`RoundEnd`]: fedprox_telemetry::event::Event::RoundEnd
 #[cfg(feature = "telemetry")]
-fn record_round_telemetry(
+pub fn record_round_telemetry(
     round: u32,
     timings: &[(usize, DeviceRoundTiming)],
     down_bytes: u64,
@@ -909,14 +910,14 @@ fn record_round_telemetry(
     collector::record_event(Event::RoundEnd { round, sim_time_s: sim_now });
 }
 
-/// Emit the participation observations of one resilient round: running
+/// Emit the participation observations of one recorded round: running
 /// outcome counters plus one structured [`Participation`] event carrying
 /// the round's responder weight and skip flag. Like every fedtrace
 /// emission this observes — it never perturbs the run.
 ///
 /// [`Participation`]: fedprox_telemetry::event::Event::Participation
 #[cfg(feature = "telemetry")]
-fn record_participation_telemetry(rec: &RoundParticipation) {
+pub fn record_participation_telemetry(rec: &RoundParticipation) {
     use fedprox_telemetry::collector;
     use fedprox_telemetry::event::Event;
     if !collector::is_armed() {
@@ -948,21 +949,28 @@ fn record_participation_telemetry(rec: &RoundParticipation) {
 }
 
 /// Pick the device a quorum skip is blamed on for the post-mortem
-/// marker: the first crashed device when any crashed, otherwise the
-/// first device that failed to respond for any other reason (offline,
-/// deadline miss, failed link). `None` when every device responded and
-/// the responding weight still missed quorum.
+/// marker, by **stable id**: the first crashed device when any crashed,
+/// otherwise the first device that failed to respond for any other
+/// reason (offline, deadline miss, failed link). Compact records (a
+/// sampled round) translate the outcome position through their sampled
+/// column; dense records use the position, which is the id there.
+/// `None` when every device responded and the responding weight still
+/// missed quorum.
 #[cfg(feature = "telemetry")]
-fn attribute_skip(outcomes: &[DeviceOutcome]) -> Option<u32> {
-    outcomes
+pub fn attribute_skip(rec: &RoundParticipation) -> Option<u32> {
+    let pos = rec
+        .outcomes
         .iter()
         .position(|o| *o == DeviceOutcome::Crashed)
         .or_else(|| {
-            outcomes.iter().position(|o| {
+            rec.outcomes.iter().position(|o| {
                 !matches!(o, DeviceOutcome::Responded | DeviceOutcome::NotSelected)
             })
-        })
-        .map(|d| d as u32)
+        })?;
+    match &rec.sampled {
+        Some(ids) => ids.get(pos).copied(),
+        None => Some(pos as u32),
+    }
 }
 
 /// Result of one logical transfer.

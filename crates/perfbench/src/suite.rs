@@ -10,7 +10,6 @@ use crate::report::{BenchEntry, BenchReport, SCHEMA};
 use crate::timer::{self, Timing};
 use fedprox_core::algorithm::Algorithm;
 use fedprox_core::config::FedConfig;
-use fedprox_core::runner::run_round_sequential;
 use fedprox_core::server::{aggregate, weights_from_sizes};
 use fedprox_core::device::Device;
 use fedprox_data::synthetic::{generate, SyntheticConfig};
@@ -213,7 +212,10 @@ fn round_bench(
         full,
         quick,
         Box::new(move || {
-            let updates = run_round_sequential(&model, &devices, &w0, &cfg, 0).expect("round");
+            let updates: Vec<_> = devices
+                .iter()
+                .map(|d| d.local_update(&model, &w0, &cfg, 0).expect("round"))
+                .collect();
             let pairs: Vec<(&[f64], f64)> =
                 updates.iter().zip(&weights).map(|(u, &wt)| (&u.w[..], wt)).collect();
             aggregate(&pairs, &mut agg);

@@ -1,50 +1,15 @@
-//! fedsim — the third execution backend: an event-driven simulation
-//! runtime that scales federated training to million-device populations.
+//! fedsim — compatibility re-exports of the event-driven backend.
 //!
-//! The thread-per-device actor runtime (`fedprox-net`) tops out at
-//! thousands of devices; here a device is a **compact passive state
-//! machine** — no thread, no channel, just its stable id, its (possibly
-//! lazily synthesized) shard, and per-(round, device) RNG streams —
-//! scheduled on a sharded virtual-time event loop ([`events`]) that
-//! lifts the clock and the fedresil fault/delay streams out of the
-//! actor loop. Per-round client sampling ([`sampler`]) bounds per-round
-//! memory by the **active set**, not the population:
-//!
-//! * [`population`] — materialized (shared `Device` slice) vs lazy
-//!   (power-law [`ZipfPopulation`] + [`SyntheticPool`]) populations,
-//! * [`sampler`] — uniform-K, weighted-by-`n_k`, and Bernoulli-p (with
-//!   1/p aggregation reweighting) client samplers,
-//! * [`events`] — the sharded virtual-time event loop,
-//! * [`engine`] — [`engine::SimEngine`], driving Algorithm 1 over a
-//!   population with the same `FedConfig` the other backends consume
-//!   (select it with `RunnerKind::EventDriven`).
-//!
-//! **Correctness is inherited, not asserted**: on a materialized
-//! population with the [`SamplerSpec::Full`] sampler (p = 1) the engine
-//! reproduces the strict sequential backend's trajectory bitwise, and
-//! with [`SamplerSpec::UniformK`]`(⌈pN⌉)` it reproduces sequential
-//! partial participation bitwise (both consume the identical
-//! `(seed, round)` sampling stream). The root `tests/sim_runtime.rs`
-//! suite proves both.
-//!
-//! The `fedsim` CLI lives in `fedprox-bench` next to the other scenario
-//! runners so it can reuse the `TraceSession` / counting-allocator
-//! plumbing without creating a dependency cycle with `fedprox-perfbench`
-//! (which macro-benchmarks this crate).
-//!
-//! [`ZipfPopulation`]: fedprox_data::partition::ZipfPopulation
-//! [`SyntheticPool`]: fedprox_data::synthetic::SyntheticPool
-//! [`SamplerSpec::Full`]: fedprox_core::SamplerSpec::Full
-//! [`SamplerSpec::UniformK`]: fedprox_core::SamplerSpec::UniformK
+//! The round engine, populations and samplers live in `fedprox-core`
+//! ([`fedprox_core::engine`], [`fedprox_core::population`],
+//! [`fedprox_core::sampler`]), where `FederatedTrainer` runs the same
+//! loop for its in-process runners. This crate keeps the paths
+//! downstream code imports — `fedprox_sim::{SimEngine, Population,
+//! LazyPopulation, Sampler}` — pointing at them.
 
 #![warn(missing_docs)]
 
-pub mod engine;
-pub mod events;
-pub mod population;
-pub mod sampler;
-
-pub use engine::{RoundStats, SimEngine};
-pub use events::{DeviceTiming, ShardedEventLoop};
-pub use population::{LazyPopulation, Population};
-pub use sampler::Sampler;
+pub use fedprox_core::engine::{RoundEngine as SimEngine, RoundStats};
+pub use fedprox_core::population::{LazyPopulation, Population};
+pub use fedprox_core::sampler::Sampler;
+pub use fedprox_core::{engine, population, sampler};

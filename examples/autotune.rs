@@ -54,8 +54,7 @@ fn main() {
         .config
         .clone()
         .with_rounds(40)
-        .with_eval_every(10)
-        .with_runner(RunnerKind::Parallel);
+        .with_eval_every(10);
     println!(
         "\ntraining FedProxVR(SVRG) with the tuned config (tau = {}, eta = {:.4}):",
         cfg.tau,

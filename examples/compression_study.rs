@@ -2,8 +2,8 @@
 //! models are Top-K sparsified or quantised before aggregation — the
 //! communication-efficiency direction the paper cites (Konečný et al.).
 //!
-//! Built from the library's public pieces (per-round `runner` + manual
-//! aggregation) to show the training loop is composable.
+//! Built from the library's public pieces (per-device local updates +
+//! manual aggregation) to show the training loop is composable.
 //!
 //! ```sh
 //! cargo run --release --example compression_study
@@ -13,7 +13,7 @@
 // on the federated-learning API rather than error plumbing.
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
-use fedprox::core::{eval, runner, server};
+use fedprox::core::{eval, server};
 use fedprox::data::split::split_federation;
 use fedprox::data::synthetic::{generate, SyntheticConfig};
 use fedprox::models::{LossModel, MultinomialLogistic};
@@ -57,18 +57,10 @@ fn main() {
     for (name, scheme) in schemes {
         let mut global = model.init_params(13);
         for round in 0..rounds {
-            let participants: Vec<usize> = (0..devices.len()).collect();
-            let updates = runner::run_round_subset(
-                &model,
-                &devices,
-                &participants,
-                &global,
-                &cfg,
-                round,
-                true,
-                None,
-            )
-            .expect("round");
+            let updates: Vec<_> = devices
+                .iter()
+                .map(|d| d.local_update(&model, &global, &cfg, round).expect("round"))
+                .collect();
             // Compress each uplink *update* (w_n − w̄): deltas are what
             // sparsification tolerates — most coordinates barely move in
             // one round, so Top-K on the delta loses little, whereas

@@ -92,7 +92,6 @@ fn main() {
         .with_batch_size(8)
         .with_rounds(60)
         .with_eval_every(20)
-        .with_runner(RunnerKind::Parallel)
         .with_seed(3);
     let h = FederatedTrainer::new(&model, &devices, &test, cfg).run().expect("run");
 

@@ -58,7 +58,6 @@ fn main() {
                 .with_batch_size(8)
                 .with_rounds(40)
                 .with_eval_every(40)
-                .with_runner(RunnerKind::Parallel)
                 .with_seed(11);
             FederatedTrainer::new(&model, &devices, &test, cfg)
                 .run()

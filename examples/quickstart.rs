@@ -71,7 +71,6 @@ fn main() {
             .with_batch_size(8)
             .with_rounds(60)
             .with_eval_every(10)
-            .with_runner(RunnerKind::Parallel)
             .with_seed(42);
         let history = FederatedTrainer::new(&model, &devices, &test, cfg).run().expect("run");
 

@@ -74,7 +74,6 @@ fn main() {
             .with_batch_size(8)
             .with_rounds(60)
             .with_eval_every(60)
-            .with_runner(RunnerKind::Parallel)
             .with_seed(7);
         let h = FederatedTrainer::new(&model, &devices, &test, cfg).run().expect("run");
         let acc = h.records.last().unwrap().test_accuracy;

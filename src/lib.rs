@@ -16,10 +16,12 @@
 //! * [`faults`] — deterministic fault schedules and graceful-degradation
 //!   policies (deadlines, quorum, retry/backoff),
 //! * [`net`] — simulated federated network runtime (actors, delays, clock),
-//! * [`core`] — the FedProxVR algorithm, baselines, theory, and parameter
+//! * [`core`] — the FedProxVR algorithm, baselines, the in-process round
+//!   engine (sequential and event-driven, with per-round client sampling
+//!   over million-device populations), theory, and parameter
 //!   optimization,
-//! * [`sim`] — the event-driven million-device simulation backend with
-//!   per-round client sampling.
+//! * [`sim`] — the event-driven engine under its `fedprox_sim` names
+//!   (`SimEngine` is `core::RoundEngine`).
 
 pub use fedprox_core as core;
 pub use fedprox_data as data;

@@ -28,7 +28,6 @@ fn base() -> FedConfig {
         .with_batch_size(8)
         .with_rounds(25)
         .with_eval_every(25)
-        .with_runner(RunnerKind::Parallel)
         .with_seed(21)
 }
 

@@ -68,11 +68,11 @@ fn three_backends_produce_identical_metrics() {
     let base = cfg(Algorithm::FedProxVr(EstimatorKind::Sarah)).with_rounds(6);
 
     let h_seq = FederatedTrainer::new(&model, &devices, &test, base.clone()).run().expect("run");
-    let h_par = FederatedTrainer::new(
+    let h_sim = FederatedTrainer::new(
         &model,
         &devices,
         &test,
-        base.clone().with_runner(RunnerKind::Parallel),
+        base.clone().with_runner(RunnerKind::EventDriven(SimRunnerOptions::default())),
     )
     .run().expect("run");
     let h_net = FederatedTrainer::new(
@@ -83,10 +83,10 @@ fn three_backends_produce_identical_metrics() {
     )
     .run().expect("run");
 
-    assert_eq!(h_seq.records.len(), h_par.records.len());
+    assert_eq!(h_seq.records.len(), h_sim.records.len());
     assert_eq!(h_seq.records.len(), h_net.records.len());
-    for ((a, b), c) in h_seq.records.iter().zip(&h_par.records).zip(&h_net.records) {
-        assert_eq!(a.train_loss, b.train_loss, "seq vs par at round {}", a.round);
+    for ((a, b), c) in h_seq.records.iter().zip(&h_sim.records).zip(&h_net.records) {
+        assert_eq!(a.train_loss, b.train_loss, "seq vs sim at round {}", a.round);
         assert_eq!(a.train_loss, c.train_loss, "seq vs net at round {}", a.round);
         assert_eq!(a.test_accuracy, c.test_accuracy);
     }

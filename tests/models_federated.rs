@@ -59,7 +59,6 @@ fn cfg(alg: Algorithm) -> FedConfig {
         .with_batch_size(8)
         .with_rounds(20)
         .with_eval_every(10)
-        .with_runner(RunnerKind::Parallel)
         .with_seed(31)
 }
 

@@ -35,7 +35,7 @@ fn plan() -> FaultPlan {
 }
 
 #[test]
-fn sequential_and_parallel_agree_under_faults() {
+fn sequential_and_event_driven_agree_under_faults() {
     let (devices, test) = federation(21);
     let model = MultinomialLogistic::new(60, 10);
     let seq = FederatedTrainer::new(
@@ -45,20 +45,21 @@ fn sequential_and_parallel_agree_under_faults() {
         cfg(RunnerKind::Sequential).with_resilience(Resilience::with_plan(plan())),
     )
     .run().expect("run");
-    let par = FederatedTrainer::new(
+    let sim = FederatedTrainer::new(
         &model,
         &devices,
         &test,
-        cfg(RunnerKind::Parallel).with_resilience(Resilience::with_plan(plan())),
+        cfg(RunnerKind::EventDriven(SimRunnerOptions::default()))
+            .with_resilience(Resilience::with_plan(plan())),
     )
     .run().expect("run");
-    assert!(!seq.diverged() && !par.diverged());
-    assert_eq!(seq.records.len(), par.records.len());
-    for (a, b) in seq.records.iter().zip(&par.records) {
+    assert!(!seq.diverged() && !sim.diverged());
+    assert_eq!(seq.records.len(), sim.records.len());
+    for (a, b) in seq.records.iter().zip(&sim.records) {
         assert_eq!(a.train_loss.to_bits(), b.train_loss.to_bits(), "round {}", a.round);
         assert_eq!(a.grad_norm_sq.to_bits(), b.grad_norm_sq.to_bits());
     }
-    assert_eq!(seq.participation, par.participation);
+    assert_eq!(seq.participation, sim.participation);
     // The plan left its footprint: device 1 offline for rounds 2–3,
     // device 3 crashed from round 4 on.
     assert_eq!(seq.participation[1].outcomes[1], DeviceOutcome::Offline);

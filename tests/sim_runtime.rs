@@ -147,7 +147,7 @@ fn lazy_population(devices: usize, seed: u64) -> LazyPopulation {
     LazyPopulation::new(zipf, pool)
 }
 
-fn lazy_cfg(sampler: SamplerSpec, shards: usize, seed: u64) -> FedConfig {
+fn lazy_cfg(sampler: SamplerSpec, seed: u64) -> FedConfig {
     FedConfig::new(Algorithm::FedProxVr(EstimatorKind::Svrg))
         .with_beta(5.0)
         .with_tau(3)
@@ -156,32 +156,24 @@ fn lazy_cfg(sampler: SamplerSpec, shards: usize, seed: u64) -> FedConfig {
         .with_rounds(4)
         .with_seed(seed)
         .with_runner(RunnerKind::EventDriven(
-            SimRunnerOptions::default().with_sampler(sampler).with_shards(shards),
+            SimRunnerOptions::default().with_sampler(sampler),
         ))
 }
 
 #[test]
-fn sampled_runs_are_bitwise_stable_and_shard_count_invariant() {
+fn sampled_runs_are_bitwise_stable() {
     let _g = lock();
     let model = MultinomialLogistic::new(60, 10);
-    let run = |shards: usize| {
+    let run = || {
         let pop = Population::Lazy(lazy_population(2_000, 5));
-        SimEngine::new(&model, pop, None, lazy_cfg(SamplerSpec::UniformK(12), shards, 5))
+        SimEngine::new(&model, pop, None, lazy_cfg(SamplerSpec::UniformK(12), 5))
             .run()
             .expect("sim")
     };
-    let (a, b) = (run(8), run(8));
-    assert_eq!(model_bits(&a), model_bits(&b), "same seed, same shards");
+    let (a, b) = (run(), run());
+    assert_eq!(model_bits(&a), model_bits(&b), "same seed");
+    assert_eq!(a.total_sim_time.to_bits(), b.total_sim_time.to_bits());
     assert_eq!(a.participation, b.participation);
-    // Sharding is a memory/locality knob: 1 shard and 64 shards replay
-    // the identical schedule, trajectory and virtual time.
-    let c = run(1);
-    let d = run(64);
-    assert_eq!(model_bits(&a), model_bits(&c), "shards=1");
-    assert_eq!(model_bits(&a), model_bits(&d), "shards=64");
-    assert_eq!(a.total_sim_time.to_bits(), c.total_sim_time.to_bits());
-    assert_eq!(a.total_sim_time.to_bits(), d.total_sim_time.to_bits());
-    assert_eq!(a.participation, c.participation);
 }
 
 #[test]
@@ -199,7 +191,7 @@ fn bernoulli_reweighting_restores_the_full_participation_weight_total() {
     let model = MultinomialLogistic::new(60, 10);
     let run = |sampler: SamplerSpec| {
         let pop = Population::Lazy(lazy_population(300, 17));
-        SimEngine::new(&model, pop, None, lazy_cfg(sampler, 8, 17)).run().expect("sim")
+        SimEngine::new(&model, pop, None, lazy_cfg(sampler, 17)).run().expect("sim")
     };
     let full = run(SamplerSpec::Full);
     let bern = run(SamplerSpec::Bernoulli(1.0));
@@ -215,7 +207,7 @@ fn fault_plans_address_sampled_devices_by_stable_id() {
     // from round 1. The compact participation record must blame exactly
     // that stable id, wherever it lands in the sampled set.
     let pop = Population::Lazy(lazy_population(5_000, seed));
-    let probe = SimEngine::new(&model, pop, None, lazy_cfg(SamplerSpec::UniformK(10), 8, seed))
+    let probe = SimEngine::new(&model, pop, None, lazy_cfg(SamplerSpec::UniformK(10), seed))
         .run()
         .expect("probe");
     let round1 = &probe.participation[0];
@@ -228,7 +220,7 @@ fn fault_plans_address_sampled_devices_by_stable_id() {
         &model,
         pop,
         None,
-        lazy_cfg(SamplerSpec::UniformK(10), 8, seed).with_resilience(resilience),
+        lazy_cfg(SamplerSpec::UniformK(10), seed).with_resilience(resilience),
     )
     .run()
     .expect("faulted");
@@ -250,7 +242,7 @@ fn peak_round_alloc(devices: usize, k: usize, seed: u64) -> u64 {
     let model = MultinomialLogistic::new(60, 10);
     let pop = Population::Lazy(lazy_population(devices, seed));
     let engine =
-        SimEngine::new(&model, pop, None, lazy_cfg(SamplerSpec::UniformK(k), 8, seed));
+        SimEngine::new(&model, pop, None, lazy_cfg(SamplerSpec::UniformK(k), seed));
     let mut last = fedprox_perfbench::alloc::stats();
     let mut peak = 0u64;
     engine
@@ -307,7 +299,7 @@ fn compute_heterogeneity_changes_time_but_never_the_trajectory() {
         let zipf = ZipfPopulation::new(800, 40, 120, 1.5, spread, 13);
         let pool = SyntheticPool::new(SyntheticConfig { seed: 13, ..Default::default() });
         let pop = Population::Lazy(LazyPopulation::new(zipf, pool));
-        SimEngine::new(&model, pop, None, lazy_cfg(SamplerSpec::UniformK(10), 8, 13))
+        SimEngine::new(&model, pop, None, lazy_cfg(SamplerSpec::UniformK(10), 13))
             .run()
             .expect("sim")
     };

@@ -115,16 +115,16 @@ fn sequential_run_produces_exact_aggregate_counts() {
 }
 
 #[test]
-fn parallel_and_sequential_runs_count_identically() {
+fn event_driven_and_sequential_runs_count_identically() {
     let _guard = COLLECTOR_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let (_, seq) = traced_run(RunnerKind::Sequential);
-    let (_, par) = traced_run(RunnerKind::Parallel);
+    let (_, sim) = traced_run(RunnerKind::EventDriven(SimRunnerOptions::default()));
     for name in ["optim.inner_step", "optim.prox_apply", "optim.anchor_full_grad", "optim.grad_evals"] {
-        assert_eq!(counter(&seq, name), counter(&par, name), "{name} drifted across runners");
+        assert_eq!(counter(&seq, name), counter(&sim, name), "{name} drifted across runners");
     }
     assert_eq!(
         span_count(&seq, "core", "device_update"),
-        span_count(&par, "core", "device_update"),
+        span_count(&sim, "core", "device_update"),
     );
 }
 
