@@ -1,8 +1,8 @@
 #!/usr/bin/env sh
 # CI gate: build → e2ebench-build → test (default / workspace / check /
-# telemetry) → clippy → fedlint → fedtrace smoke → perf-smoke →
-# fedscope-smoke → fedresil-smoke → fedprof-smoke → fedobs-smoke →
-# fedsim-smoke. Any failing stage fails the run.
+# telemetry) → clippy → fedlint → fedobs summary smoke → perf-smoke →
+# kernel-diff → fedobs-smoke → fedsim-smoke. Any failing stage fails the
+# run.
 set -eu
 
 echo "==> cargo build --release"
@@ -28,6 +28,11 @@ cargo test -q --features check
 echo "==> cargo test -q --features telemetry (instrumentation compiled in)"
 cargo test -q --features telemetry
 
+# The TraceSession tests (one armed --obs file read by every fedobs
+# view) need the bench crate's own telemetry feature.
+echo "==> cargo test -q -p fedprox-bench --features telemetry --lib"
+cargo test -q -p fedprox-bench --features telemetry --lib
+
 # unwrap_used/expect_used are denied via [workspace.lints]; every
 # `#[allow]` escaping the deny must carry an adjacent justified
 # `// fedlint: allow(...)` annotation (enforced by the fedlint
@@ -46,9 +51,9 @@ echo "==> fedlint-gate (check --baseline LINT_BASELINE.json --gate)"
 cargo run -q --release -p fedprox-conformance --bin fedlint -- \
     check --baseline LINT_BASELINE.json --gate
 
-echo "==> fedtrace smoke (summarize the checked-in fixture trace)"
-cargo run -q --release -p fedprox-telemetry --bin fedtrace -- \
-    crates/telemetry/tests/fixtures/sample_trace.jsonl >/dev/null
+echo "==> fedobs summary smoke (summarize the checked-in fixture trace)"
+cargo run -q --release -p fedprox-obs --bin fedobs -- \
+    summary crates/telemetry/tests/fixtures/sample_trace.jsonl >/dev/null
 
 # perf-smoke: run the fedperf harness twice in --quick mode, validate the
 # emitted reports against the fedperf/v1 schema, and check the two runs are
@@ -80,11 +85,28 @@ cargo test -q --release -p fedprox-tensor --test cpu_reference
 cargo test -q --release -p fedprox --test determinism
 ./target/release/fedperf --baseline BENCH_seed.json --gate "${FEDPERF_GATE_RATIO:-3.0}"
 
-# fedscope-smoke: a tiny armed run writes a --health JSONL, `fedscope
-# check` validates its schema, the report renders, and a self-diff must
-# be regression-free (exit 0). Reuses the perf-smoke tmp dir + trap.
-echo "==> fedscope-smoke (armed tiny run -> schema check -> self-diff)"
-cat > "$PERF_TMP/fedscope_spec.json" <<'EOF'
+# fedobs-smoke: every view of the one --obs stream, read from armed runs
+# of the telemetry bench build. Reuses the perf-smoke tmp dir + trap.
+#  - health: a tiny fedrun stream passes `fedobs health check`, its
+#    report renders, and a self-diff is regression-free (exit 0).
+#  - resilience: a short seeded faulted fedresil run (device crash at
+#    round 3 plus a 20% flaky link) records exactly the expected
+#    participation (1 crashed device, 0 skipped rounds — enforced by the
+#    --expect-* flags) and a stream `fedobs health check` accepts.
+#  - prof: two identical-seed fig2 runs; `prof report` must show the
+#    local_solve path, `prof flame` must emit well-formed collapsed
+#    stacks, and `prof agg --check-deterministic` must find the
+#    deterministic columns (activation counts, alloc bytes/calls)
+#    bitwise-identical across the two runs — wall-clock columns are
+#    expected to differ and are reported as medians.
+#  - correlation: a faulted fedresil run (device 1 crashes at round 3,
+#    quorum demands all 3 devices, so every later round skips); the
+#    flight recorder must fire and `postmortem` must blame the crashed
+#    device. Two same-seed runs must carry identical run-ledger headers
+#    (`ledger diff` exits 0 and prints "identical"), and `critpath`
+#    must reconstruct the rounds.
+echo "==> fedobs-smoke (armed --obs runs -> health / prof / postmortem / ledger / critpath)"
+cat > "$PERF_TMP/fedrun_spec.json" <<'EOF'
 {
   "dataset": {"kind": "synthetic", "alpha": 1.0, "beta": 1.0},
   "model": {"kind": "logistic"},
@@ -94,54 +116,31 @@ cat > "$PERF_TMP/fedscope_spec.json" <<'EOF'
 }
 EOF
 cargo build -q --release -p fedprox-bench --features telemetry
-cargo build -q --release -p fedprox-telemetry
-./target/release/fedrun "$PERF_TMP/fedscope_spec.json" \
-    --health "$PERF_TMP/health.jsonl" >/dev/null
-./target/release/fedscope check "$PERF_TMP/health.jsonl"
-./target/release/fedscope report "$PERF_TMP/health.jsonl" >/dev/null
-./target/release/fedscope diff "$PERF_TMP/health.jsonl" "$PERF_TMP/health.jsonl" >/dev/null
+cargo build -q --release -p fedprox-obs
+./target/release/fedrun "$PERF_TMP/fedrun_spec.json" \
+    --obs "$PERF_TMP/health.jsonl" >/dev/null
+./target/release/fedobs health check "$PERF_TMP/health.jsonl"
+./target/release/fedobs health report "$PERF_TMP/health.jsonl" >/dev/null
+./target/release/fedobs health diff "$PERF_TMP/health.jsonl" "$PERF_TMP/health.jsonl" >/dev/null
 
-# fedresil-smoke: a short seeded faulted scenario (device crash at round 3
-# plus a 20% flaky link) must complete, record exactly the expected
-# participation (1 crashed device, 0 skipped rounds — enforced by the
-# --expect-* flags), and produce a health stream `fedscope check` accepts.
-# Reuses the telemetry-enabled bench build from the fedscope stage.
-echo "==> fedresil-smoke (seeded faulted scenario -> expected participation)"
 ./target/release/fedresil --devices 4 --rounds 6 --seed 11 \
     --crash 1:3 --flaky 2:0.2:1:6 \
-    --health "$PERF_TMP/resil_health.jsonl" \
+    --obs "$PERF_TMP/resil.jsonl" \
     --expect-crashed 1 --expect-skipped 0 >/dev/null
-./target/release/fedscope check "$PERF_TMP/resil_health.jsonl"
+./target/release/fedobs health check "$PERF_TMP/resil.jsonl"
 
-# fedprof-smoke: two identical-seed armed fig2 runs write --prof span-tree
-# profiles; `fedprof report` must render a ≥4-level tree, `fedprof flame`
-# must emit well-formed collapsed stacks, and `fedprof agg
-# --check-deterministic` must find the deterministic columns (activation
-# counts, alloc bytes/calls) bitwise-identical across the two runs —
-# wall-clock columns are expected to differ and are reported as medians.
-# Reuses the telemetry-enabled bench build from the fedscope stage.
-echo "==> fedprof-smoke (two same-seed --prof runs -> report/flame -> zero-delta agg)"
 ./target/release/fig2_convex --scale small --rounds 3 --seed 7 \
-    --prof "$PERF_TMP/prof_a.jsonl" >/dev/null
+    --obs "$PERF_TMP/prof_a.jsonl" >/dev/null
 ./target/release/fig2_convex --scale small --rounds 3 --seed 7 \
-    --prof "$PERF_TMP/prof_b.jsonl" >/dev/null
-./target/release/fedprof report "$PERF_TMP/prof_a.jsonl" | grep -q "local_solve" \
-    || { echo "fedprof-smoke: report missing the local_solve path"; exit 1; }
-./target/release/fedprof flame "$PERF_TMP/prof_a.jsonl" > "$PERF_TMP/prof_a.flame"
+    --obs "$PERF_TMP/prof_b.jsonl" >/dev/null
+./target/release/fedobs prof report "$PERF_TMP/prof_a.jsonl" | grep -q "local_solve" \
+    || { echo "fedobs-smoke: prof report missing the local_solve path"; exit 1; }
+./target/release/fedobs prof flame "$PERF_TMP/prof_a.jsonl" > "$PERF_TMP/prof_a.flame"
 grep -Eq '^([^ ;]+;)+[^ ;]+ [0-9]+$' "$PERF_TMP/prof_a.flame" \
-    || { echo "fedprof-smoke: flame output has no nested collapsed stack"; exit 1; }
-./target/release/fedprof agg "$PERF_TMP/prof_a.jsonl" "$PERF_TMP/prof_b.jsonl" \
+    || { echo "fedobs-smoke: prof flame output has no nested collapsed stack"; exit 1; }
+./target/release/fedobs prof agg "$PERF_TMP/prof_a.jsonl" "$PERF_TMP/prof_b.jsonl" \
     --check-deterministic >/dev/null
 
-# fedobs-smoke: the correlation layer end to end. A faulted fedresil run
-# (device 1 crashes at round 3, quorum demands all 3 devices, so every
-# later round skips) streams the obs feed; the flight recorder must fire
-# and `fedobs postmortem` must blame the crashed device. Then two
-# same-seed runs must carry identical run-ledger headers (`fedobs ledger
-# diff` exits 0 and prints "identical"). Reuses the telemetry-enabled
-# bench build from the fedscope stage.
-echo "==> fedobs-smoke (faulted --obs run -> postmortem blame -> ledger self-diff)"
-cargo build -q --release -p fedprox-obs
 ./target/release/fedresil --devices 3 --rounds 6 --seed 11 \
     --crash 1:3 --quorum-count 3 \
     --obs "$PERF_TMP/obs_a.jsonl" >/dev/null
@@ -169,7 +168,7 @@ cargo build -q --release -p fedprox-obs
 # exercises stable-id fault addressing on compact participation
 # records: the crash must still be counted although the final round
 # never samples the device. Reuses the telemetry-enabled bench build
-# from the fedscope stage.
+# from the fedobs stage.
 echo "==> fedsim-smoke (two same-seed 100k-device sampled runs -> alloc bound + ledger diff)"
 ./target/release/fedsim --devices 100000 --rounds 4 --seed 29 --sample k:32 \
     --crash 28563:1 --expect-crashed 1 \

@@ -21,23 +21,10 @@ pub struct CommonArgs {
     pub seed: u64,
     /// Directory for JSON output (created if missing); `None` = print only.
     pub out: Option<String>,
-    /// Write a fedtrace JSONL event trace to this path (requires the
-    /// `telemetry` feature; warns and stays off otherwise). Default off.
-    pub trace: Option<String>,
-    /// Write a fedscope health JSONL trace (per-round `health` samples +
-    /// typed `anomaly` events, readable by the `fedscope` binary) to this
-    /// path. Same feature gate and warning path as `trace`. Default off.
-    pub health: Option<String>,
-    /// Write a fedprof span-tree profile (per-path `path_stat` records
-    /// with self/total time and — with the counting allocator compiled
-    /// in — bytes/allocs attribution, readable by the `fedprof` binary)
-    /// to this path. Same feature gate and warning path as `trace`.
-    /// Default off.
-    pub prof: Option<String>,
-    /// Write the correlated observability stream (run-ledger header +
-    /// simulation events + post-mortem markers, readable by the
-    /// `fedobs` binary) to this path. Same feature gate and warning
-    /// path as `trace`. Default off.
+    /// Stream the run's observability record (run-ledger header, every
+    /// raw event, then the aggregate tail; read by the `fedobs` binary)
+    /// to this path. Requires the `telemetry` feature; warns and stays
+    /// off otherwise. Default off.
     pub obs: Option<String>,
     /// Run on the simulated-network backend instead of the in-process
     /// parallel runner. Math is bit-identical (see
@@ -47,7 +34,7 @@ pub struct CommonArgs {
     pub net: bool,
     /// Tensor kernel selected by `--kernel` (`None` = leave the process
     /// default, tiled-par). All kernels are bitwise interchangeable, so
-    /// this only changes speed — pair it with `--prof` to profile the
+    /// this only changes speed — pair it with `--obs` to profile the
     /// same run under the naive reference and the tiled kernels.
     pub kernel: Option<fedprox_tensor::kernel::Kernel>,
 }
@@ -59,9 +46,6 @@ impl Default for CommonArgs {
             rounds: None,
             seed: 1,
             out: None,
-            trace: None,
-            health: None,
-            prof: None,
             obs: None,
             net: false,
             kernel: None,
@@ -93,8 +77,7 @@ impl CommonArgs {
 }
 
 /// Parse `--scale small|paper`, `--rounds N`, `--seed N`, `--out DIR`,
-/// `--trace PATH`, `--health PATH`, `--prof PATH`, `--obs PATH`,
-/// `--net`, and
+/// `--obs PATH`, `--net`, and
 /// `--kernel reference|tiled|tiled-par` from an iterator of CLI
 /// arguments (`--kernel` also applies the selection, process-wide).
 /// Unknown flags abort with a usage message naming `program`.
@@ -154,16 +137,12 @@ pub fn parse_args(program: &str, argv: impl Iterator<Item = String>) -> CommonAr
                 fedprox_tensor::kernel::set_kernel(k);
                 args.kernel = Some(k);
             }
-            "--trace" => args.trace = Some(value("--trace")),
-            "--health" => args.health = Some(value("--health")),
-            "--prof" => args.prof = Some(value("--prof")),
             "--obs" => args.obs = Some(value("--obs")),
             "--net" => args.net = true,
             "--help" | "-h" => {
                 println!(
                     "usage: {program} [--scale small|paper] [--rounds N] [--seed N] [--out DIR] \
-                     [--trace PATH] [--health PATH] [--prof PATH] [--obs PATH] [--net] \
-                     [--kernel reference|tiled|tiled-par]"
+                     [--obs PATH] [--net] [--kernel reference|tiled|tiled-par]"
                 );
                 std::process::exit(0);
             }
@@ -191,9 +170,6 @@ mod tests {
         assert_eq!(a.rounds, None);
         assert_eq!(a.seed, 1);
         assert!(a.out.is_none());
-        assert!(a.trace.is_none(), "--trace must default to off");
-        assert!(a.health.is_none(), "--health must default to off");
-        assert!(a.prof.is_none(), "--prof must default to off");
         assert!(a.obs.is_none(), "--obs must default to off");
         assert!(!a.net, "--net must default to off");
         assert!(matches!(a.runner(), fedprox_core::RunnerKind::Sequential));
@@ -202,17 +178,13 @@ mod tests {
     #[test]
     fn full_flags() {
         let a = parse(&[
-            "--scale", "paper", "--rounds", "42", "--seed", "9", "--out", "/tmp/x", "--trace",
-            "/tmp/t.jsonl", "--health", "/tmp/h.jsonl", "--prof", "/tmp/p.jsonl", "--obs",
+            "--scale", "paper", "--rounds", "42", "--seed", "9", "--out", "/tmp/x", "--obs",
             "/tmp/o.jsonl", "--net",
         ]);
         assert_eq!(a.scale, Scale::Paper);
         assert_eq!(a.rounds, Some(42));
         assert_eq!(a.seed, 9);
         assert_eq!(a.out.as_deref(), Some("/tmp/x"));
-        assert_eq!(a.trace.as_deref(), Some("/tmp/t.jsonl"));
-        assert_eq!(a.health.as_deref(), Some("/tmp/h.jsonl"));
-        assert_eq!(a.prof.as_deref(), Some("/tmp/p.jsonl"));
         assert_eq!(a.obs.as_deref(), Some("/tmp/o.jsonl"));
         assert!(a.net);
         assert!(matches!(a.runner(), fedprox_core::RunnerKind::Network(_)));

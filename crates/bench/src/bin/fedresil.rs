@@ -18,7 +18,7 @@
 //!
 //! `--expect-crashed N` / `--expect-skipped N` turn the run into a
 //! check: the process exits non-zero when the recorded participation
-//! disagrees, which is how CI's `fedresil-smoke` stage uses it.
+//! disagrees, which is how CI's `fedobs-smoke` stage uses it.
 
 
 // CLI binary: aborting with context on a broken invocation or run is
@@ -51,8 +51,7 @@ fn usage() -> ! {
          \x20               [--random-plan] [--drop-prob P] [--deadline SECONDS]\n\
          \x20               [--quorum-weight F] [--quorum-count N]\n\
          \x20               [--retries N] [--backoff BASE:CAP]\n\
-         \x20               [--out DIR] [--trace PATH] [--health PATH] [--prof PATH]\n\
-         \x20               [--obs PATH] [--expect-crashed N] [--expect-skipped N]"
+         \x20               [--out DIR] [--obs PATH] [--expect-crashed N] [--expect-skipped N]"
     );
     std::process::exit(2);
 }
@@ -94,9 +93,6 @@ fn main() {
     let mut quorum = QuorumPolicy::default();
     let mut retry = RetryPolicy::default();
     let mut out = None;
-    let mut trace_path = None;
-    let mut health_path = None;
-    let mut prof_path = None;
     let mut obs_path = None;
     let mut expect_crashed = None;
     let mut expect_skipped = None;
@@ -171,9 +167,6 @@ fn main() {
                 retry.max_backoff_s = parse(p[1], "backoff cap");
             }
             "--out" => out = Some(next_value(&mut args, "--out")),
-            "--trace" => trace_path = Some(next_value(&mut args, "--trace")),
-            "--health" => health_path = Some(next_value(&mut args, "--health")),
-            "--prof" => prof_path = Some(next_value(&mut args, "--prof")),
             "--obs" => obs_path = Some(next_value(&mut args, "--obs")),
             "--expect-crashed" => {
                 expect_crashed =
@@ -207,13 +200,7 @@ fn main() {
         seed,
     )
     .with_faults(format!("{:?}", plan.faults));
-    let trace = TraceSession::start_run(
-        trace_path.as_deref(),
-        health_path.as_deref(),
-        prof_path.as_deref(),
-        obs_path.as_deref(),
-        &info,
-    );
+    let trace = TraceSession::start(obs_path.as_deref(), &info);
 
     let Some(alg) = parse_algorithm(&algorithm) else {
         fail(&format!("unknown algorithm '{algorithm}'"));

@@ -24,23 +24,14 @@ use fedprox_core::History;
 fn main() {
     let mut args = std::env::args().skip(1);
     let Some(path) = args.next() else {
-        eprintln!(
-            "usage: fedrun SPEC.json [--out DIR] [--trace PATH] [--health PATH] [--prof PATH] \
-             [--obs PATH]"
-        );
+        eprintln!("usage: fedrun SPEC.json [--out DIR] [--obs PATH]");
         std::process::exit(2);
     };
     let mut out = None;
-    let mut trace_path = None;
-    let mut health_path = None;
-    let mut prof_path = None;
     let mut obs_path = None;
     while let Some(flag) = args.next() {
         match flag.as_str() {
             "--out" => out = args.next(),
-            "--trace" => trace_path = args.next(),
-            "--health" => health_path = args.next(),
-            "--prof" => prof_path = args.next(),
             "--obs" => obs_path = args.next(),
             other => {
                 eprintln!("fedrun: unknown flag '{other}'");
@@ -59,13 +50,7 @@ fn main() {
         std::process::exit(2);
     });
     let info = RunInfo::new(format!("fedrun {text}"), spec.seed);
-    let trace = TraceSession::start_run(
-        trace_path.as_deref(),
-        health_path.as_deref(),
-        prof_path.as_deref(),
-        obs_path.as_deref(),
-        &info,
-    );
+    let trace = TraceSession::start(obs_path.as_deref(), &info);
 
     let results = spec.run();
     let refs: Vec<(String, &History)> =

@@ -54,8 +54,7 @@ fn usage() -> ! {
          \x20             [--crash DEV:ROUND]... [--offline DEV:FROM:TO]...\n\
          \x20             [--slow DEV:MULT:FROM:TO]... [--deadline SECONDS]\n\
          \x20             [--quorum-weight F] [--quorum-count N]\n\
-         \x20             [--out DIR] [--trace PATH] [--health PATH] [--prof PATH]\n\
-         \x20             [--obs PATH] [--expect-sampled N] [--expect-skipped N]\n\
+         \x20             [--out DIR] [--obs PATH] [--expect-sampled N] [--expect-skipped N]\n\
          \x20             [--expect-crashed N] [--max-round-alloc-mib MIB]"
     );
     std::process::exit(2);
@@ -124,9 +123,6 @@ fn main() {
     let mut quorum = QuorumPolicy::default();
     let mut resilient = false;
     let mut out = None;
-    let mut trace_path = None;
-    let mut health_path = None;
-    let mut prof_path = None;
     let mut obs_path = None;
     let mut expect_sampled = None;
     let mut expect_skipped = None;
@@ -198,9 +194,6 @@ fn main() {
                 resilient = true;
             }
             "--out" => out = Some(next_value(&mut args, "--out")),
-            "--trace" => trace_path = Some(next_value(&mut args, "--trace")),
-            "--health" => health_path = Some(next_value(&mut args, "--health")),
-            "--prof" => prof_path = Some(next_value(&mut args, "--prof")),
             "--obs" => obs_path = Some(next_value(&mut args, "--obs")),
             "--expect-sampled" => {
                 expect_sampled =
@@ -236,13 +229,7 @@ fn main() {
         seed,
     )
     .with_faults(format!("{:?}", plan.faults));
-    let trace = TraceSession::start_run(
-        trace_path.as_deref(),
-        health_path.as_deref(),
-        prof_path.as_deref(),
-        obs_path.as_deref(),
-        &info,
-    );
+    let trace = TraceSession::start(obs_path.as_deref(), &info);
 
     let Some(alg) = parse_algorithm(&algorithm) else {
         fail(&format!("unknown algorithm '{algorithm}'"));

@@ -15,13 +15,7 @@ fn main() {
     // No federated training happens here (pure theory evaluation), but
     // the flags behave uniformly across all experiment binaries.
     let info = RunInfo::new(args.describe("fig1_param_opt"), args.seed);
-    let trace = TraceSession::start_run(
-        args.trace.as_deref(),
-        args.health.as_deref(),
-        args.prof.as_deref(),
-        args.obs.as_deref(),
-        &info,
-    );
+    let trace = TraceSession::start(args.obs.as_deref(), &info);
 
     // The γ axis of Fig. 1 (log-spaced).
     let gammas: Vec<f64> = (0..=16).map(|i| 10f64.powf(-4.0 + i as f64 * 0.25)).collect();

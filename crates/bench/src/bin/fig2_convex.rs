@@ -19,13 +19,7 @@ use fedprox_optim::estimator::EstimatorKind;
 fn main() {
     let args = parse_args("fig2_convex", std::env::args().skip(1));
     let info = RunInfo::new(args.describe("fig2_convex"), args.seed);
-    let trace = TraceSession::start_run(
-        args.trace.as_deref(),
-        args.health.as_deref(),
-        args.prof.as_deref(),
-        args.obs.as_deref(),
-        &info,
-    );
+    let trace = TraceSession::start(args.obs.as_deref(), &info);
     // Paper scale: 100 devices, shard sizes [37, 1350], B = 32, T ≈ 200
     // evaluated rounds. Small scale keeps the *batch-to-shard ratio* of
     // the paper (B ≈ 2–8% of a shard) — that ratio controls the gradient

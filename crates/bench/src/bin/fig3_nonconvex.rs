@@ -17,13 +17,7 @@ use fedprox_optim::estimator::EstimatorKind;
 fn main() {
     let args = parse_args("fig3_nonconvex", std::env::args().skip(1));
     let info = RunInfo::new(args.describe("fig3_nonconvex"), args.seed);
-    let trace = TraceSession::start_run(
-        args.trace.as_deref(),
-        args.health.as_deref(),
-        args.prof.as_deref(),
-        args.obs.as_deref(),
-        &info,
-    );
+    let trace = TraceSession::start(args.obs.as_deref(), &info);
     // Paper scale: 10 devices, sizes [454, 3939], full 32/64-channel CNN.
     // Small: 6 devices, a scaled-down CNN (identical code paths).
     // Small scale keeps the paper's batch-to-shard ratio (see

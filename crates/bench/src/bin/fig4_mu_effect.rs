@@ -27,13 +27,7 @@ use fedprox_optim::solver::IterateChoice;
 fn main() {
     let args = parse_args("fig4_mu_effect", std::env::args().skip(1));
     let info = RunInfo::new(args.describe("fig4_mu_effect"), args.seed);
-    let trace = TraceSession::start_run(
-        args.trace.as_deref(),
-        args.health.as_deref(),
-        args.prof.as_deref(),
-        args.obs.as_deref(),
-        &info,
-    );
+    let trace = TraceSession::start(args.obs.as_deref(), &info);
     let (devices_n, lo, hi, rounds, eval_every) = match args.scale {
         Scale::Paper => (100, 37, 3277, 200, 5),
         Scale::Small => (10, 30, 120, 50, 1),

@@ -15,13 +15,7 @@ use fedprox_optim::estimator::EstimatorKind;
 fn main() {
     let args = parse_args("table1_convex", std::env::args().skip(1));
     let info = RunInfo::new(args.describe("table1_convex"), args.seed);
-    let trace = TraceSession::start_run(
-        args.trace.as_deref(),
-        args.health.as_deref(),
-        args.prof.as_deref(),
-        args.obs.as_deref(),
-        &info,
-    );
+    let trace = TraceSession::start(args.obs.as_deref(), &info);
     let (devices_n, lo, hi, trials, space) = match args.scale {
         Scale::Paper => (
             100,

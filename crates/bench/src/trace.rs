@@ -1,35 +1,26 @@
-//! `--trace` / `--health` / `--prof` support: arm the fedtrace collector
-//! for the duration of a run, then fan the recorded events out — the
-//! full event stream to the `--trace` JSONL (plus the aggregated per-run
-//! summary tables), the `health` / `anomaly` events to the `--health`
-//! JSONL for the `fedscope` binary, and the span-tree `path_stat`
-//! records to the `--prof` JSONL for the `fedprof` binary.
-//!
-//! A `--trace` session streams: the collector appends completed raw
-//! records to the trace file incrementally (flushing on every round
-//! end), so memory stays bounded on long runs and the file can be
-//! tailed live; `finish` appends the aggregate tail. `--health` /
-//! `--prof`-only sessions buffer in memory — their outputs are
-//! aggregate-sized anyway.
+//! `--obs` support: arm the collector for the duration of a run and
+//! stream everything it records to one JSONL file — the run-ledger
+//! header first, then every raw event (flushed at each round end, so
+//! memory stays bounded and the file can be tailed live), then the
+//! aggregate tail (`span_stat`, `path_stat`, counters, gauges,
+//! histograms) appended by [`TraceSession::finish`]. `fedobs` reads the
+//! one file for every view: `summary`, `health`, `prof`, `timeline`,
+//! `critpath`, `postmortem` and `ledger`.
 //!
 //! The session is a no-op when built without the `telemetry` feature —
-//! it warns once per requested flag that it was ignored — and when no
-//! path was given, so binaries can call it unconditionally.
+//! it warns that `--obs` was ignored — and when no path was given, so
+//! binaries can call it unconditionally.
 
-/// Scoped tracing for one experiment run.
+/// Scoped observability for one experiment run.
 ///
 /// ```ignore
-/// let trace = TraceSession::start_full(
-///     args.trace.as_deref(), args.health.as_deref(), args.prof.as_deref());
+/// let obs = TraceSession::start(args.obs.as_deref(), &info);
 /// // ... run the experiment ...
-/// trace.finish(); // writes JSONL file(s) + prints the summary
+/// obs.finish(); // appends the aggregate tail
 /// ```
 #[derive(Debug)]
 pub struct TraceSession {
     path: Option<String>,
-    health_path: Option<String>,
-    prof_path: Option<String>,
-    obs_path: Option<String>,
     /// Whether the streaming sink actually attached to `path` (only
     /// consulted by `finish`, which is compiled out without telemetry).
     #[cfg_attr(not(feature = "telemetry"), allow(dead_code))]
@@ -40,7 +31,7 @@ pub struct TraceSession {
 /// fault-plan descriptions are canonical strings (see
 /// [`CommonArgs::describe`](crate::args::CommonArgs::describe));
 /// `TraceSession` digests them (FNV-1a 64) into the [`RunMeta`] header
-/// stitched into every JSONL sink, so any two output files can be
+/// that leads the `--obs` stream, so any two output files can be
 /// provably joined — or refused — offline.
 ///
 /// [`RunMeta`]: fedprox_telemetry::event::Event::RunMeta
@@ -95,230 +86,64 @@ fn compiled_features() -> String {
 }
 
 impl TraceSession {
-    /// Arm the collector if a trace path was requested (and the
-    /// instrumentation is compiled in). Equivalent to
-    /// [`TraceSession::start_full`] with only a trace path.
-    pub fn start(path: Option<&str>) -> Self {
-        Self::start_full(path, None, None)
-    }
-
-    /// Arm the collector if either a full-trace or a health-trace path
-    /// was requested. Equivalent to [`TraceSession::start_full`] with no
-    /// profile path.
-    pub fn start_with_health(path: Option<&str>, health: Option<&str>) -> Self {
-        Self::start_full(path, health, None)
-    }
-
-    /// Arm the collector if any output path was requested (and the
-    /// instrumentation is compiled in). With a trace path, also attach
-    /// the collector's streaming sink; with the perfbench counting
-    /// allocator compiled in, install it as the span allocation probe so
-    /// profiles carry bytes/allocs per path.
-    pub fn start_full(path: Option<&str>, health: Option<&str>, prof: Option<&str>) -> Self {
-        Self::start_impl(path, health, prof, None, None)
-    }
-
-    /// Arm the collector with the full output fan-out plus the run
-    /// ledger: `info`'s [`RunMeta`] header is recorded first, so it
-    /// lands as the leading line of the streamed trace and is stitched
-    /// into every extraction (`--health`, `--prof`, `--obs`) at
-    /// [`finish`](TraceSession::finish). The experiment binaries all
-    /// start their sessions through here.
+    /// Arm the collector if an `--obs` path was requested (and the
+    /// instrumentation is compiled in): install the perfbench counting
+    /// allocator as the span allocation probe, attach the streaming
+    /// sink, and record `info`'s [`RunMeta`] header as the stream's
+    /// first line. If the sink cannot attach, the whole record is
+    /// written at [`finish`](TraceSession::finish) instead.
     ///
     /// [`RunMeta`]: fedprox_telemetry::event::Event::RunMeta
-    pub fn start_run(
-        path: Option<&str>,
-        health: Option<&str>,
-        prof: Option<&str>,
-        obs: Option<&str>,
-        info: &RunInfo,
-    ) -> Self {
-        Self::start_impl(path, health, prof, obs, Some(info))
-    }
-
-    fn start_impl(
-        path: Option<&str>,
-        health: Option<&str>,
-        prof: Option<&str>,
-        obs: Option<&str>,
-        info: Option<&RunInfo>,
-    ) -> Self {
+    pub fn start(obs: Option<&str>, info: &RunInfo) -> Self {
         #[cfg(feature = "telemetry")]
-        let streamed = {
-            let mut streamed = false;
-            if path.is_some() || health.is_some() || prof.is_some() || obs.is_some() {
+        let streamed = match obs {
+            Some(p) => {
+                use fedprox_telemetry::collector;
                 fedprox_perfbench::alloc::install_telemetry_probe();
-                fedprox_telemetry::collector::arm();
-                if let Some(p) = path {
-                    match fedprox_telemetry::collector::stream_to(p) {
-                        Ok(()) => streamed = true,
-                        Err(e) => eprintln!(
-                            "trace: cannot stream to {p}: {e}; falling back to end-of-run write"
-                        ),
-                    }
-                }
-                // Record the ledger header first, before any run event:
-                // streamed traces carry it as their first structured
-                // line, and every extraction re-emits it as a header.
-                if let Some(info) = info {
-                    fedprox_telemetry::collector::record_event(info.to_event());
-                }
+                collector::arm();
+                let streamed = collector::stream_to(p)
+                    .map_err(|e| {
+                        eprintln!(
+                            "obs: cannot stream to {p}: {e}; falling back to end-of-run write"
+                        )
+                    })
+                    .is_ok();
+                collector::record_event(info.to_event());
+                streamed
             }
-            streamed
+            None => false,
         };
         #[cfg(not(feature = "telemetry"))]
-        let streamed = false;
-        #[cfg(not(feature = "telemetry"))]
-        {
+        let streamed = {
             let _ = info;
-            for (flag, requested) in [
-                ("--trace", path.is_some()),
-                ("--health", health.is_some()),
-                ("--prof", prof.is_some()),
-                ("--obs", obs.is_some()),
-            ] {
-                if requested {
-                    eprintln!(
-                        "warning: {flag} ignored: telemetry instrumentation not compiled in \
-                         (rebuild with `--features telemetry`)"
-                    );
-                }
+            if obs.is_some() {
+                eprintln!(
+                    "warning: --obs ignored: telemetry instrumentation not compiled in \
+                     (rebuild with `--features telemetry`)"
+                );
             }
-        }
-        TraceSession {
-            path: path.map(str::to_string),
-            health_path: health.map(str::to_string),
-            prof_path: prof.map(str::to_string),
-            obs_path: obs.map(str::to_string),
-            streamed,
-        }
+            false
+        };
+        TraceSession { path: obs.map(str::to_string), streamed }
     }
 
     /// Whether this session is actually recording.
     pub fn active(&self) -> bool {
-        cfg!(feature = "telemetry")
-            && (self.path.is_some()
-                || self.health_path.is_some()
-                || self.prof_path.is_some()
-                || self.obs_path.is_some())
+        cfg!(feature = "telemetry") && self.path.is_some()
     }
 
-    /// Drain the collector once, write the requested JSONL file(s), and
-    /// print the aggregated summary tables (full-trace sessions only).
-    /// Streamed sessions append the aggregate tail to the already-written
-    /// file and re-read it so the summary covers the whole run. A no-op
-    /// for inactive sessions.
+    /// Append the aggregate tail to the `--obs` file (or write the whole
+    /// record when streaming never attached) and name the `fedobs`
+    /// views that read it. A no-op for inactive sessions.
     pub fn finish(self) {
         #[cfg(feature = "telemetry")]
-        if self.active() {
-            use fedprox_telemetry::event::Event;
-            use fedprox_telemetry::{collector, jsonl, summary};
-            let mut events = collector::drain();
-            collector::disarm();
-            if let Some(path) = &self.path {
-                if self.streamed {
-                    // The raw stream is already on disk; append the
-                    // aggregate tail, then re-read the whole file so the
-                    // summary (and the health/prof extractions below)
-                    // see streamed events too.
-                    use std::io::Write as _;
-                    let appended = std::fs::OpenOptions::new()
-                        .append(true)
-                        .open(path)
-                        .and_then(|mut f| f.write_all(jsonl::to_jsonl(&events).as_bytes()));
-                    if let Err(e) = appended {
-                        eprintln!("trace: failed to append aggregates to {path}: {e}");
-                    }
-                    match std::fs::read_to_string(path)
-                        .map_err(|e| e.to_string())
-                        .and_then(|t| jsonl::parse(&t).map_err(|e| e.to_string()))
-                    {
-                        Ok(all) => {
-                            println!("trace: {} events written to {path} (streamed)", all.len());
-                            events = all;
-                        }
-                        Err(e) => eprintln!("trace: failed to re-read {path}: {e}"),
-                    }
-                } else {
-                    match std::fs::write(path, jsonl::to_jsonl(&events)) {
-                        Ok(()) => println!("trace: {} events written to {path}", events.len()),
-                        Err(e) => eprintln!("trace: failed to write {path}: {e}"),
-                    }
-                }
-                let report = summary::TelemetryReport::from_events(&events);
-                print!("{}", report.render(10));
-            }
-            if let Some(path) = &self.health_path {
-                let health: Vec<Event> = events
-                    .iter()
-                    .filter(|e| {
-                        matches!(
-                            e,
-                            Event::RunMeta { .. } | Event::Health { .. } | Event::Anomaly { .. }
-                        )
-                    })
-                    .cloned()
-                    .collect();
-                match std::fs::write(path, jsonl::to_jsonl(&health)) {
-                    Ok(()) => println!(
-                        "health: {} events written to {path} (inspect with `fedscope {path}`)",
-                        health.len()
-                    ),
-                    Err(e) => eprintln!("health: failed to write {path}: {e}"),
-                }
-            }
-            if let Some(path) = &self.prof_path {
-                let prof: Vec<Event> = events
-                    .iter()
-                    .filter(|e| {
-                        matches!(
-                            e,
-                            Event::RunMeta { .. }
-                                | Event::PathStat { .. }
-                                | Event::TraceTruncated { .. }
-                        )
-                    })
-                    .cloned()
-                    .collect();
-                match std::fs::write(path, jsonl::to_jsonl(&prof)) {
-                    Ok(()) => println!(
-                        "prof: {} span-tree paths written to {path} \
-                         (inspect with `fedprof report {path}`)",
-                        prof.len()
-                    ),
-                    Err(e) => eprintln!("prof: failed to write {path}: {e}"),
-                }
-            }
-            if let Some(path) = &self.obs_path {
-                // The correlated stream: ledger header + simulation and
-                // health observations + post-mortem markers, in arrival
-                // order — everything `fedobs` joins on, nothing
-                // host-dependent.
-                let obs: Vec<Event> = events
-                    .iter()
-                    .filter(|e| {
-                        matches!(
-                            e,
-                            Event::RunMeta { .. }
-                                | Event::DeviceRound { .. }
-                                | Event::Bytes { .. }
-                                | Event::RoundEnd { .. }
-                                | Event::Health { .. }
-                                | Event::Anomaly { .. }
-                                | Event::Participation { .. }
-                                | Event::Postmortem { .. }
-                        )
-                    })
-                    .cloned()
-                    .collect();
-                match std::fs::write(path, jsonl::to_jsonl(&obs)) {
-                    Ok(()) => println!(
-                        "obs: {} events written to {path} \
-                         (inspect with `fedobs critpath {path}`)",
-                        obs.len()
-                    ),
-                    Err(e) => eprintln!("obs: failed to write {path}: {e}"),
-                }
+        if let Some(path) = self.path {
+            match fedprox_telemetry::collector::finish_stream(&path, self.streamed) {
+                Ok(()) => println!(
+                    "obs: run written to {path} (inspect with `fedobs \
+                     summary|health|prof|timeline|critpath|postmortem|ledger {path}`)"
+                ),
+                Err(e) => eprintln!("obs: failed to write {path}: {e}"),
             }
         }
     }
@@ -337,33 +162,36 @@ mod tests {
         SERIAL.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
     }
 
+    #[cfg(feature = "telemetry")]
+    fn temp_path(dir: &str, file: &str) -> String {
+        let dir = std::env::temp_dir().join(dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        dir.join(file).to_str().unwrap().to_string()
+    }
+
+    #[cfg(feature = "telemetry")]
+    fn read_events(path: &str) -> Vec<fedprox_telemetry::event::Event> {
+        let text = std::fs::read_to_string(path).unwrap();
+        fedprox_telemetry::jsonl::parse(&text).unwrap()
+    }
+
     #[test]
     fn inactive_without_path() {
-        let t = TraceSession::start(None);
+        let t = TraceSession::start(None, &RunInfo::new("test", 1));
         assert!(!t.active());
         t.finish(); // must be a no-op either way
-        let t2 = TraceSession::start_with_health(None, None);
-        assert!(!t2.active());
-        t2.finish();
-        let t3 = TraceSession::start_full(None, None, None);
-        assert!(!t3.active());
-        t3.finish();
     }
 
     #[cfg(feature = "telemetry")]
     #[test]
     fn active_roundtrip_writes_jsonl() {
         let _serial = guard();
-        let dir = std::env::temp_dir().join("fedprox_trace_test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("t.jsonl");
-        let path_str = path.to_str().unwrap().to_string();
-        let t = TraceSession::start(Some(&path_str));
+        let path = temp_path("fedprox_trace_test", "t.jsonl");
+        let t = TraceSession::start(Some(&path), &RunInfo::new("roundtrip", 1));
         assert!(t.active());
         fedprox_telemetry::counter!("bench.test_marker", 3u32);
         t.finish();
-        let text = std::fs::read_to_string(&path).unwrap();
-        let events = fedprox_telemetry::jsonl::parse(&text).unwrap();
+        let events = read_events(&path);
         assert!(events.iter().any(|e| matches!(
             e,
             fedprox_telemetry::event::Event::Counter { name, value: 3 } if name == "bench.test_marker"
@@ -373,71 +201,12 @@ mod tests {
 
     #[cfg(feature = "telemetry")]
     #[test]
-    fn health_file_contains_only_health_events() {
-        let _serial = guard();
-        use fedprox_telemetry::event::{AnomalyRule, Event};
-        let dir = std::env::temp_dir().join("fedprox_health_trace_test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("h.jsonl");
-        let path_str = path.to_str().unwrap().to_string();
-        let t = TraceSession::start_with_health(None, Some(&path_str));
-        assert!(t.active());
-        fedprox_telemetry::counter!("bench.noise_marker", 1u32);
-        fedprox_telemetry::collector::record_event(Event::Anomaly {
-            round: 2,
-            rule: AnomalyRule::LossGuard,
-            device: None,
-            value: 12.0,
-            limit: 9.0,
-        });
-        t.finish();
-        let text = std::fs::read_to_string(&path).unwrap();
-        let events = fedprox_telemetry::jsonl::parse(&text).unwrap();
-        assert_eq!(events.len(), 1, "counters must be filtered out: {events:?}");
-        assert!(matches!(events[0], Event::Anomaly { round: 2, .. }));
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[cfg(feature = "telemetry")]
-    #[test]
-    fn prof_file_contains_path_stats() {
-        let _serial = guard();
-        use fedprox_telemetry::event::Event;
-        let dir = std::env::temp_dir().join("fedprox_prof_trace_test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("p.jsonl");
-        let path_str = path.to_str().unwrap().to_string();
-        let t = TraceSession::start_full(None, None, Some(&path_str));
-        assert!(t.active());
-        {
-            fedprox_telemetry::span!("bench", "outer");
-            fedprox_telemetry::span!("bench", "inner");
-        }
-        fedprox_telemetry::counter!("bench.noise_marker", 1u32);
-        t.finish();
-        let text = std::fs::read_to_string(&path).unwrap();
-        let events = fedprox_telemetry::jsonl::parse(&text).unwrap();
-        assert!(
-            events.iter().all(|e| matches!(e, Event::PathStat { .. })),
-            "prof file must carry only span-tree records: {events:?}"
-        );
-        assert!(events.iter().any(
-            |e| matches!(e, Event::PathStat { path, .. } if path == "outer/inner")
-        ));
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[cfg(feature = "telemetry")]
-    #[test]
     fn obs_file_carries_ledger_header_and_sim_events() {
         let _serial = guard();
         use fedprox_telemetry::event::Event;
-        let dir = std::env::temp_dir().join("fedprox_obs_trace_test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("o.jsonl");
-        let path_str = path.to_str().unwrap().to_string();
+        let path = temp_path("fedprox_obs_trace_test", "o.jsonl");
         let info = RunInfo::new("test config=1", 7).with_faults("crash 1:3");
-        let t = TraceSession::start_run(None, None, None, Some(&path_str), &info);
+        let t = TraceSession::start(Some(&path), &info);
         assert!(t.active());
         fedprox_telemetry::counter!("bench.noise_marker", 1u32);
         fedprox_telemetry::collector::record_event(Event::RoundEnd {
@@ -446,10 +215,8 @@ mod tests {
         });
         fedprox_telemetry::collector::trigger_postmortem("quorum_skip", 1, Some(1));
         t.finish();
-        let text = std::fs::read_to_string(&path).unwrap();
-        let events = fedprox_telemetry::jsonl::parse(&text).unwrap();
-        // Header first, then the run events, marker included; counters
-        // filtered out.
+        let events = read_events(&path);
+        // Header first, then the run events, marker included.
         assert!(
             matches!(&events[0], Event::RunMeta { seed: 7, faults, .. }
                 if faults == &fedprox_obs::fnv64("crash 1:3")),
@@ -459,40 +226,7 @@ mod tests {
         assert!(events.iter().any(
             |e| matches!(e, Event::Postmortem { round: 1, device: Some(1), .. })
         ));
-        assert!(events.iter().all(|e| e.kind() != "counter"));
         std::fs::remove_file(&path).ok();
-    }
-
-    #[cfg(feature = "telemetry")]
-    #[test]
-    fn health_and_prof_extractions_carry_the_header() {
-        let _serial = guard();
-        use fedprox_telemetry::event::Event;
-        let dir = std::env::temp_dir().join("fedprox_header_stitch_test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let hp = dir.join("h.jsonl");
-        let pp = dir.join("p.jsonl");
-        let info = RunInfo::new("stitch test", 3);
-        let t = TraceSession::start_run(
-            None,
-            Some(hp.to_str().unwrap()),
-            Some(pp.to_str().unwrap()),
-            None,
-            &info,
-        );
-        {
-            fedprox_telemetry::span!("bench", "stitched_op");
-        }
-        t.finish();
-        for path in [&hp, &pp] {
-            let text = std::fs::read_to_string(path).unwrap();
-            let events = fedprox_telemetry::jsonl::parse(&text).unwrap();
-            assert!(
-                matches!(&events[0], Event::RunMeta { seed: 3, .. }),
-                "{path:?} must lead with the ledger header: {events:?}"
-            );
-            std::fs::remove_file(path).ok();
-        }
     }
 
     #[cfg(feature = "telemetry")]
@@ -500,11 +234,8 @@ mod tests {
     fn streamed_trace_file_covers_the_whole_run() {
         let _serial = guard();
         use fedprox_telemetry::event::Event;
-        let dir = std::env::temp_dir().join("fedprox_stream_trace_test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("s.jsonl");
-        let path_str = path.to_str().unwrap().to_string();
-        let t = TraceSession::start(Some(&path_str));
+        let path = temp_path("fedprox_stream_trace_test", "s.jsonl");
+        let t = TraceSession::start(Some(&path), &RunInfo::new("streamed", 1));
         assert!(t.active());
         {
             fedprox_telemetry::span!("bench", "streamed_op");
@@ -517,11 +248,70 @@ mod tests {
         let mid = std::fs::read_to_string(&path).unwrap();
         assert!(!mid.is_empty(), "streaming sink wrote nothing before finish()");
         t.finish();
-        let text = std::fs::read_to_string(&path).unwrap();
-        let events = fedprox_telemetry::jsonl::parse(&text).unwrap();
+        let events = read_events(&path);
         assert!(events.iter().any(|e| matches!(e, Event::RoundEnd { .. })));
         assert!(events.iter().any(|e| matches!(e, Event::Span { .. })));
         assert!(events.iter().any(|e| matches!(e, Event::PathStat { .. })));
+        std::fs::remove_file(&path).ok();
+    }
+
+    /// One armed, faulted, resilient run streamed to one file: every
+    /// `fedobs` view reads it as is. Three devices on the simulated
+    /// network, device 1 crashes at round 3, and the quorum demands all
+    /// three, so every round from 3 on is skipped.
+    #[cfg(feature = "telemetry")]
+    #[test]
+    fn one_file_feeds_every_reader() {
+        let _serial = guard();
+        use fedprox_core::config::NetRunnerOptions;
+        use fedprox_core::{Algorithm, FedConfig, FederatedTrainer, RunnerKind};
+        use fedprox_faults::{FaultPlan, QuorumPolicy, Resilience};
+        use fedprox_obs::postmortem::{PostmortemBundle, POSTMORTEM_WINDOW};
+        use fedprox_obs::Timeline;
+        use fedprox_optim::estimator::EstimatorKind;
+        use fedprox_telemetry::event::Event;
+        use fedprox_telemetry::profile::ProfileReport;
+        use fedprox_telemetry::scope::HealthReport;
+        use fedprox_telemetry::summary::TelemetryReport;
+
+        let path = temp_path("fedprox_one_file_test", "run.jsonl");
+        let plan = FaultPlan::new().crash(1, 3);
+        let info = RunInfo::new("one file", 11).with_faults(format!("{:?}", plan.faults));
+        let quorum = QuorumPolicy { min_responders: 3, ..QuorumPolicy::default() };
+        let fed = crate::synthetic_federation(1.0, 1.0, 3, 40, 120, 11);
+        let model = fedprox_models::MultinomialLogistic::new(
+            fed.test.dim(),
+            fed.test.num_classes(),
+        );
+        let cfg = FedConfig::new(Algorithm::FedProxVr(EstimatorKind::Svrg))
+            .with_rounds(6)
+            .with_seed(11)
+            .with_resilience(Resilience::with_plan(plan).with_quorum(quorum))
+            .with_runner(RunnerKind::Network(NetRunnerOptions::default()));
+
+        let t = TraceSession::start(Some(&path), &info);
+        FederatedTrainer::new(&model, &fed.devices, &fed.test, cfg).run().unwrap();
+        t.finish();
+        let events = read_events(&path);
+
+        assert!(matches!(events[0], Event::RunMeta { seed: 11, .. }), "{:?}", events[0]);
+        let health = HealthReport::from_events(&events);
+        assert_eq!(health.validate(), Vec::<String>::new());
+        let profile = ProfileReport::from_events(&events);
+        assert!(
+            profile.paths.iter().any(|r| r.leaf() == "local_solve"),
+            "no local_solve path in the profile"
+        );
+        let timeline = Timeline::from_events(&events);
+        assert_eq!(timeline.rounds.len(), 6);
+        assert!(timeline.rounds.iter().all(|r| r.gating.is_some()), "a round lost its gate");
+        let bundle = PostmortemBundle::from_events(&events, POSTMORTEM_WINDOW).unwrap();
+        assert_eq!(
+            (bundle.reason.as_str(), bundle.round, bundle.device),
+            ("quorum_skip", 3, Some(1))
+        );
+        let summary = TelemetryReport::from_events(&events).render(10);
+        assert!(summary.contains("6 rounds"), "{summary}");
         std::fs::remove_file(&path).ok();
     }
 }

@@ -89,7 +89,7 @@ pub enum Rule {
     /// F4 `telemetry-gate`: a runtime collector call (`collector::arm`,
     /// `collector::drain`, probe installs, …) in non-telemetry library
     /// code without an enclosing `feature = "telemetry"` cfg gate —
-    /// profiling hooks (`--prof` wiring, alloc probes, streaming sinks)
+    /// profiling hooks (`--obs` wiring, alloc probes, streaming sinks)
     /// must compile out of default builds entirely, not linger
     /// half-armed behind a runtime flag alone.
     TelemetryGate,

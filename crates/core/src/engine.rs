@@ -469,7 +469,7 @@ pub(crate) fn validate_devices(devices: &[Device]) -> Result<(), FedError> {
 
 /// The evaluation side of a run, shared by every backend: the
 /// `History` records, the divergence verdict, and (armed telemetry
-/// only) the fedscope health monitor and the flight-recorder triggers.
+/// only) the health monitor and the flight-recorder triggers.
 pub(crate) struct Recorder<'a, M: LossModel> {
     model: &'a M,
     devices: Option<&'a [Device]>,

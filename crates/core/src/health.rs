@@ -1,4 +1,4 @@
-//! Online algorithm-health monitoring — the data source behind `fedscope`.
+//! Online algorithm-health monitoring — the data source behind `fedobs health`.
 //!
 //! A [`HealthMonitor`] sits beside the training loop in armed-telemetry
 //! runs, assembles one [`Event::Health`] sample per evaluated round, and
@@ -15,7 +15,7 @@
 //! * **non-finite / loss-guard** — the trainer's existing divergence
 //!   checks, forwarded here so the trace carries the *cause*.
 //!
-//! The monitor follows the fedtrace observability rules: it only reads
+//! The monitor follows the telemetry observability rules: it only reads
 //! quantities the trainer already computed (plus direction-norm probes
 //! that never touch the training state), so an armed run stays
 //! bitwise-identical to a disarmed one in its training outputs. The

@@ -16,7 +16,7 @@
 //!   violations and transport errors, as values instead of panics,
 //! * [`eval`] — global loss / accuracy / gradient-norm / σ̄² measurement,
 //! * [`metrics`] — per-round records and JSON/CSV export,
-//! * [`health`] — the [`health::HealthMonitor`] behind `fedscope`:
+//! * [`health`] — the [`health::HealthMonitor`] behind `fedobs health`:
 //!   per-round convergence diagnostics and typed anomaly rules,
 //! * [`theory`] — Lemma 1 bounds, Theorem 1's federated factor Θ,
 //!   Corollary 1's iteration bound,

@@ -179,9 +179,9 @@ impl Lemma1 {
     /// Inverse of eq. (55): the smallest local accuracy θ a device can
     /// certify with `tau` local iterations,
     /// `θ_min = √(3 (β²L² + μ²) / (τ μ̃ L (β − 3)))`. Solving eq. (55)
-    /// for θ instead of τ gives fedscope a *lower* edge for the measured
-    /// accuracy ratio: a θ below this was not earned by Lemma 1's
-    /// budget. Requires β > 3, μ̃ > 0, τ ≥ 1; returns `None` otherwise.
+    /// for θ instead of τ gives `fedobs health` a *lower* edge for the
+    /// measured accuracy ratio: a θ below this was not earned by Lemma
+    /// 1's budget. Requires β > 3, μ̃ > 0, τ ≥ 1; returns `None` otherwise.
     pub fn theta_min_for_tau(p: &TheoryParams, beta: f64, tau: usize) -> Option<f64> {
         if beta <= 3.0 || !p.valid() || tau == 0 {
             return None;

@@ -18,10 +18,13 @@
 //! deadlines exclude a device from the round instead of erroring the
 //! run, aggregation renormalizes weights over the responder set, and
 //! rounds below quorum are skipped-and-counted. Every round then yields
-//! a [`RoundParticipation`] record in the report. Randomness in this
-//! mode comes from per-(round, device) streams ([`stream_rng`]) consumed
-//! in a fixed intra-device order (downlink → uplink → jitter), so reply
-//! arrival order cannot perturb the draw sequence.
+//! a [`RoundParticipation`] record in the report.
+//!
+//! Randomness in both modes comes from per-(round, device) streams
+//! ([`stream_rng`]) consumed in a fixed intra-device order (downlink →
+//! uplink → jitter), so reply arrival order cannot perturb the draw
+//! sequence, and a strict run equals the same run under an empty fault
+//! plan.
 
 use crate::clock::{DeviceRoundTiming, VirtualClock};
 use crate::codec;
@@ -32,7 +35,7 @@ use bytes::Bytes;
 use crossbeam::channel::{unbounded, Receiver, Sender};
 use fedprox_faults::{stream_rng, DeviceOutcome, Resilience, RetryPolicy, RoundParticipation};
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::Rng;
 use std::fmt;
 
 /// Transport-layer failure of a networked run.
@@ -90,6 +93,8 @@ pub enum NetError {
         /// The reporting device id.
         device: u32,
     },
+    /// [`NetworkRuntime::run`] was handed no device workers.
+    NoDevices,
 }
 
 impl fmt::Display for NetError {
@@ -105,6 +110,7 @@ impl fmt::Display for NetError {
                 "net: device {device} replied for round {got} while collecting round {expected}"
             ),
             NetError::UnexpectedMessage => write!(f, "net: server received a non-LocalModel message"),
+            NetError::NoDevices => write!(f, "net: network runtime needs at least one device"),
             NetError::ZeroAggregationWeight => write!(f, "net: aggregation weights sum to zero"),
             NetError::RetryLimit => write!(f, "net: drop probability too close to 1"),
             NetError::WorkerPanic { device: Some(d) } => {
@@ -328,7 +334,9 @@ impl NetworkRuntime {
         mut on_round: impl FnMut(u32, &[f64]) -> bool,
     ) -> Result<NetReport, NetError> {
         let n = workers.len();
-        assert!(n > 0, "network runtime needs at least one device");
+        if n == 0 {
+            return Err(NetError::NoDevices);
+        }
         let dim = initial.len();
         fedprox_telemetry::gauge!("net.devices", n);
 
@@ -342,7 +350,6 @@ impl NetworkRuntime {
         }
         let (reply_tx, reply_rx) = unbounded::<Bytes>();
 
-        let mut rng = StdRng::seed_from_u64(opts.seed ^ 0x6E75);
         let mut clock = VirtualClock::new();
         let mut retransmissions = 0u64;
         let mut round_durations = Vec::new();
@@ -361,7 +368,7 @@ impl NetworkRuntime {
                 workers.into_iter().zip(device_rx).enumerate()
             {
                 let reply_tx = reply_tx.clone();
-                // fedlint: allow(spawn-ordering) — reply arrival order is immaterial: the server collects into per-device slots and aggregates in id order (see `slots` below), and resilient-mode RNG draws come from per-(round, device) streams
+                // fedlint: allow(spawn-ordering) — reply arrival order is immaterial: the server collects into per-device slots and aggregates in id order (see `slots` below), and RNG draws come from per-(round, device) streams
                 scope.spawn(move |_| {
                     while let Ok(frame) = rx.recv() {
                         // Frames come from `codec::encode` in this very
@@ -439,6 +446,12 @@ impl NetworkRuntime {
                     // 1-based global round `s` of Algorithm 1, the index
                     // every fault-plan query speaks.
                     let s = round as usize + 1;
+                    // Per-attempt drop probability: the global rate,
+                    // raised by any flaky-link fault active this round.
+                    let drop_prob = |d: usize| {
+                        let flaky = resil.map_or(0.0, |r| r.plan.drop_prob(d, s));
+                        opts.drop_prob.max(flaky)
+                    };
                     #[cfg(feature = "telemetry")]
                     let traffic_before = (clock.bytes_down(), clock.bytes_up());
                     let broadcast = {
@@ -480,32 +493,19 @@ impl NetworkRuntime {
                         if *outcome != DeviceOutcome::Responded {
                             continue;
                         }
-                        let transfer = if let Some(resil) = resil {
-                            // Per-(round, device) stream, consumed in a
-                            // fixed order (downlink now, uplink and jitter
-                            // at reply time), so draws are independent of
-                            // reply arrival order.
-                            let mut dev_rng =
-                                stream_rng(opts.seed ^ 0x6E75, s as u64, d as u64);
-                            let p = opts.drop_prob.max(resil.plan.drop_prob(d, s));
-                            let t = simulate_transfer(
-                                &opts.downlink,
-                                down_len,
-                                p,
-                                &mut dev_rng,
-                                &opts.retry,
-                            );
-                            streams[d] = Some(dev_rng);
-                            t
-                        } else {
-                            simulate_transfer(
-                                &opts.downlink,
-                                down_len,
-                                opts.drop_prob,
-                                &mut rng,
-                                &opts.retry,
-                            )
-                        };
+                        // Per-(round, device) stream, consumed in a fixed
+                        // order (downlink now, uplink and jitter at reply
+                        // time), so draws are independent of reply
+                        // arrival order.
+                        let mut dev_rng = stream_rng(opts.seed ^ 0x6E75, s as u64, d as u64);
+                        let transfer = simulate_transfer(
+                            &opts.downlink,
+                            down_len,
+                            drop_prob(d),
+                            &mut dev_rng,
+                            &opts.retry,
+                        );
+                        streams[d] = Some(dev_rng);
                         match transfer {
                             Transfer::Delivered { delay, retries } => {
                                 downloads[d] = delay;
@@ -570,70 +570,46 @@ impl NetworkRuntime {
                                     compute_time * opts.compute_multiplier_for(d);
                                 if let Some(resil) = resil {
                                     compute *= resil.plan.slow_factor(d, s);
-                                    let dev_rng = streams[d]
-                                        .as_mut()
-                                        .ok_or(NetError::UnexpectedMessage)?;
-                                    let p = opts.drop_prob.max(resil.plan.drop_prob(d, s));
-                                    let transfer = simulate_transfer(
-                                        &opts.uplink,
-                                        up_len,
-                                        p,
-                                        dev_rng,
-                                        &opts.retry,
-                                    );
-                                    if let Some(jitter) = &opts.compute_jitter {
-                                        compute *= jitter.sample(dev_rng);
-                                    }
-                                    match transfer {
-                                        Transfer::Delivered { delay, retries } => {
-                                            retransmissions += retries;
-                                            clock.record_traffic(0, (retries + 1) * up_len as u64);
-                                            let timing = DeviceRoundTiming {
-                                                download: downloads[d],
-                                                compute,
-                                                upload: delay,
-                                            };
-                                            let missed = resil
-                                                .deadline_s
-                                                .is_some_and(|deadline| timing.total() > deadline);
-                                            timings[d] = timing;
-                                            if missed {
-                                                outcomes[d] = DeviceOutcome::DeadlineMiss;
-                                            } else {
-                                                slots[d] = Some((params, weight));
-                                            }
-                                        }
-                                        Transfer::Exhausted { wasted, retries } => {
-                                            retransmissions += retries;
-                                            clock.record_traffic(0, (retries + 1) * up_len as u64);
-                                            outcomes[d] = DeviceOutcome::LinkFailed;
-                                            failed_elapsed[d] = downloads[d] + compute + wasted;
-                                        }
-                                    }
-                                } else {
-                                    match simulate_transfer(
-                                        &opts.uplink,
-                                        up_len,
-                                        opts.drop_prob,
-                                        &mut rng,
-                                        &opts.retry,
-                                    ) {
-                                        Transfer::Delivered { delay, retries } => {
-                                            retransmissions += retries;
-                                            clock.record_traffic(0, (retries + 1) * up_len as u64);
-                                            if let Some(jitter) = &opts.compute_jitter {
-                                                compute *= jitter.sample(&mut rng);
-                                            }
-                                            timings[d] = DeviceRoundTiming {
-                                                download: downloads[d],
-                                                compute,
-                                                upload: delay,
-                                            };
+                                }
+                                let dev_rng =
+                                    streams[d].as_mut().ok_or(NetError::UnexpectedMessage)?;
+                                let transfer = simulate_transfer(
+                                    &opts.uplink,
+                                    up_len,
+                                    drop_prob(d),
+                                    dev_rng,
+                                    &opts.retry,
+                                );
+                                if let Some(jitter) = &opts.compute_jitter {
+                                    compute *= jitter.sample(dev_rng);
+                                }
+                                match transfer {
+                                    Transfer::Delivered { delay, retries } => {
+                                        retransmissions += retries;
+                                        clock.record_traffic(0, (retries + 1) * up_len as u64);
+                                        let timing = DeviceRoundTiming {
+                                            download: downloads[d],
+                                            compute,
+                                            upload: delay,
+                                        };
+                                        let missed = resil
+                                            .and_then(|r| r.deadline_s)
+                                            .is_some_and(|deadline| timing.total() > deadline);
+                                        timings[d] = timing;
+                                        if missed {
+                                            outcomes[d] = DeviceOutcome::DeadlineMiss;
+                                        } else {
                                             slots[d] = Some((params, weight));
                                         }
-                                        Transfer::Exhausted { .. } => {
+                                    }
+                                    Transfer::Exhausted { wasted, retries } => {
+                                        if resil.is_none() {
                                             return Err(NetError::RetryLimit);
                                         }
+                                        retransmissions += retries;
+                                        clock.record_traffic(0, (retries + 1) * up_len as u64);
+                                        outcomes[d] = DeviceOutcome::LinkFailed;
+                                        failed_elapsed[d] = downloads[d] + compute + wasted;
                                     }
                                 }
                             }
@@ -912,7 +888,7 @@ pub fn record_round_telemetry(
 
 /// Emit the participation observations of one recorded round: running
 /// outcome counters plus one structured [`Participation`] event carrying
-/// the round's responder weight and skip flag. Like every fedtrace
+/// the round's responder weight and skip flag. Like every telemetry
 /// emission this observes — it never perturbs the run.
 ///
 /// [`Participation`]: fedprox_telemetry::event::Event::Participation
@@ -1505,7 +1481,7 @@ mod tests {
         let (resil_traj, resil) = run(true);
         // The model trajectory is bitwise-identical: delays never touch
         // the math, and full participation aggregates in id order in both
-        // modes. (Simulated time differs — the RNG scheme changes.)
+        // modes.
         assert_eq!(strict_traj, resil_traj);
         assert_eq!(
             strict.final_model.iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
@@ -1513,5 +1489,40 @@ mod tests {
         );
         assert_eq!(resil.participation.len(), 15);
         assert!(resil.participation.iter().all(|r| r.responders() == 2 && !r.skipped));
+    }
+
+    #[test]
+    fn strict_link_draws_match_an_empty_fault_plan() {
+        // Strict mode draws every transfer from the same per-(round,
+        // device) streams as resilient mode, so reply arrival order
+        // cannot leak into the link draws: the two runs agree bitwise.
+        let run = |resilient: bool| {
+            let workers: Vec<Box<dyn DeviceWorker>> = vec![
+                toward(vec![1.0, -2.0], 0.5),
+                toward(vec![3.0, 0.0], 0.3),
+                toward(vec![-1.0, 4.0], 0.2),
+            ];
+            let mut opts = NetOptions { drop_prob: 0.4, seed: 3, ..Default::default() };
+            if resilient {
+                let empty = fedprox_faults::FaultPlan::new();
+                opts = opts.with_resilience(Resilience::with_plan(empty));
+            }
+            NetworkRuntime.run(workers, vec![0.0, 0.0], 12, &opts, |_, _| true).expect("runtime")
+        };
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let (strict, resil) = (run(false), run(true));
+        assert!(strict.retransmissions > 0, "p = 0.4 must drop something");
+        assert_eq!(bits(&strict.round_durations), bits(&resil.round_durations));
+        assert_eq!(strict.retransmissions, resil.retransmissions);
+        assert_eq!(strict.clock.bytes_up(), resil.clock.bytes_up());
+        assert_eq!(strict.clock.bytes_down(), resil.clock.bytes_down());
+        assert_eq!(bits(&strict.final_model), bits(&resil.final_model));
+    }
+
+    #[test]
+    fn no_devices_is_a_typed_error() {
+        let workers: Vec<Box<dyn DeviceWorker>> = Vec::new();
+        let out = NetworkRuntime.run(workers, vec![0.0], 3, &NetOptions::default(), |_, _| true);
+        assert!(matches!(out, Err(NetError::NoDevices)));
     }
 }

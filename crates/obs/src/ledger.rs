@@ -1,7 +1,7 @@
 //! The run ledger: one versioned identity record per run.
 //!
 //! A [`RunLedger`] is the parsed form of the [`Event::RunMeta`] header
-//! that `TraceSession` stitches into every JSONL sink it writes. Its
+//! that leads every `--obs` stream `TraceSession` writes. Its
 //! job is *provable joinability*: two files describe the same run
 //! exactly when their ledgers match on every identity field, and any
 //! cross-file analysis (fedobs timelines, fedperf baselines) can refuse

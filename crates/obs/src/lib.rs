@@ -1,11 +1,11 @@
-//! Correlation layer over the FedProxVR JSONL streams.
+//! Correlation layer over the FedProxVR `--obs` stream.
 //!
-//! The runtime emits four per-run JSONL streams (fedtrace spans,
-//! fedscope health, fedprof path stats, fedresil participation) plus
-//! the `--obs` simulation stream. This crate joins them:
+//! A run writes one JSONL stream: the run-ledger header, every raw
+//! event (spans, health samples, participation, device legs, bytes,
+//! round ends) and the aggregate tail. This crate joins its events:
 //!
-//! * [`ledger`] — the versioned [`RunLedger`] header stitched into
-//!   every sink at `TraceSession` start. Two files can be provably
+//! * [`ledger`] — the versioned [`RunLedger`] header that leads every
+//!   stream from `TraceSession` start. Two files can be provably
 //!   joined (same config digest, seed, kernel, feature set) or refused.
 //! * [`timeline`] — per-round per-device timelines reconstructed on the
 //!   virtual clock from `DeviceRound` / `Bytes` / `RoundEnd` /

@@ -91,11 +91,12 @@ fn probe() -> (u64, u64) {
     (s.bytes, s.calls)
 }
 
-/// Hand the counting allocator to `fedprof`: registers [`stats`] as the
-/// telemetry collector's allocation probe so armed span trees attribute
-/// bytes/allocs to the innermost open span. Call before arming; a no-op
-/// build-wise when `count-alloc` is off (the probe then reads constant
-/// zeros and the profile's allocation columns stay empty).
+/// Hand the counting allocator to the span-tree profiler: registers
+/// [`stats`] as the telemetry collector's allocation probe so armed span
+/// trees attribute bytes/allocs to the innermost open span. Call before
+/// arming; a no-op build-wise when `count-alloc` is off (the probe then
+/// reads constant zeros and the profile's allocation columns stay
+/// empty).
 #[cfg(feature = "telemetry")]
 pub fn install_telemetry_probe() {
     fedprox_telemetry::collector::install_alloc_probe(probe);

@@ -3,7 +3,7 @@
 //!
 //! Recording is a two-stage gate: the `telemetry` cargo feature compiles
 //! the instrumentation in, and the runtime **armed** flag turns it on for
-//! a particular run (`--trace`/`--prof` arm it; tests arm it explicitly).
+//! a particular run (`--obs` arms it; tests arm it explicitly).
 //! While disarmed, every hook is a single relaxed atomic load.
 //!
 //! Raw events are buffered up to a cap; with a streaming sink attached
@@ -312,7 +312,8 @@ pub fn reset() {
 /// would otherwise drop records, keeping collector memory bounded for
 /// long runs. Call after [`arm`] (arming resets the sink). The trailing
 /// aggregate records come from [`drain`] at the end of the run; a
-/// complete trace file is the streamed lines plus the drained tail.
+/// complete trace file is the streamed lines plus the drained tail
+/// (see [`finish_stream`]).
 pub fn stream_to(path: &str) -> std::io::Result<()> {
     let file = std::fs::File::create(path)?;
     lock().stream = Some(std::io::BufWriter::new(file));
@@ -394,6 +395,22 @@ pub fn drain() -> Vec<Event> {
         out.push(Event::Dropped { count: inner.dropped });
     }
     out
+}
+
+/// Complete the observability file at `path`: drain and disarm the
+/// collector, then append the aggregate tail when `streamed` (the raw
+/// events are already on disk through [`stream_to`]) or write the whole
+/// drained record when the sink never attached. Every `--obs` writer
+/// ends its run here, so they all produce the same stream.
+pub fn finish_stream(path: &str, streamed: bool) -> std::io::Result<()> {
+    let events = drain();
+    disarm();
+    let text = jsonl::to_jsonl(&events);
+    if streamed {
+        std::fs::OpenOptions::new().append(true).open(path)?.write_all(text.as_bytes())
+    } else {
+        std::fs::write(path, text)
+    }
 }
 
 /// Add `delta` to a named counter (saturating). No-op while disarmed.

@@ -1,6 +1,6 @@
 //! The telemetry event model.
 //!
-//! Everything the collector records — and everything `fedtrace` reads
+//! Everything the collector records — and everything `fedobs` reads
 //! back from a JSONL trace — is one of these variants. Two broad
 //! families:
 //!

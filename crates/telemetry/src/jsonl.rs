@@ -2,7 +2,7 @@
 //!
 //! Hand-rolled on both sides: the crate is dependency-free so the
 //! collector cannot perturb the build graph of the code it observes, and
-//! `fedtrace` must parse traces in the default (telemetry-disabled)
+//! `fedobs` must parse traces in the default (telemetry-disabled)
 //! workspace configuration. The grammar is one JSON object per line with
 //! a `"t"` tag (see [`Event::kind`]); the parser accepts exactly the
 //! subset of JSON the writer emits (objects, arrays, strings, numbers).

@@ -4,8 +4,8 @@
 //! # Design
 //!
 //! * **Dependency-free.** The collector must never perturb the build
-//!   graph — or the math — of the code it observes, and the `fedtrace`
-//!   summarizer must build in the default workspace configuration.
+//!   graph — or the math — of the code it observes, and the read side
+//!   (`fedobs`) must build in the default workspace configuration.
 //! * **Feature-gated to zero.** Without the `enabled` cargo feature the
 //!   [`span!`], [`counter!`], [`gauge!`], and [`histogram!`] macros
 //!   expand to a never-invoked closure (so attribute expressions stay
@@ -13,7 +13,7 @@
 //!   exist. Dependents plumb their own `telemetry` feature down to
 //!   `fedprox-telemetry/enabled`, mirroring the `check` feature chain.
 //! * **Armed at runtime.** Even when compiled in, nothing records until
-//!   [`collector::arm`] is called (bench binaries arm on `--trace`).
+//!   [`collector::arm`] is called (bench binaries arm on `--obs`).
 //!   Disarmed hooks cost one relaxed atomic load.
 //! * **Deterministic where it matters.** Wall-clock readings exist only
 //!   inside the collector; everything derived from the simulation
@@ -21,12 +21,12 @@
 //!   bitwise-reproducible. Telemetry never feeds back into training.
 //!
 //! The event model lives in [`event`], the JSONL codec in [`jsonl`], and
-//! the aggregated per-run summary in [`summary`]. The `fedtrace` binary
-//! renders top-N tables from a JSONL trace; the `fedscope` binary reads
-//! the algorithm-health event family (built in [`scope`]) and diffs two
-//! runs for CI regression gating; the `fedprof` binary renders the
-//! span-tree profile (built in [`profile`]) as a path table, collapsed
-//! flamegraph stacks, or a cross-run aggregate.
+//! the aggregated per-run summary in [`summary`]; [`scope`] reads the
+//! algorithm-health event family and diffs two runs for CI regression
+//! gating; [`profile`] reassembles the span-tree profile as a path
+//! table, collapsed flamegraph stacks, or a cross-run aggregate. The
+//! `fedobs` binary (crates/obs) renders all of them from one `--obs`
+//! stream.
 
 pub mod event;
 pub mod jsonl;

@@ -1,8 +1,8 @@
-//! Span-tree profile model: the read side of `fedprof`.
+//! Span-tree profile model: the read side of `fedobs prof`.
 //!
 //! Consumes the `path_stat` records a trace carries (produced by the
 //! collector's thread-local scope stack), reassembles them into a tree
-//! ordered parent-before-child, and renders the three `fedprof` views:
+//! ordered parent-before-child, and renders the three `fedobs prof` views:
 //! a path-tree table, collapsed stacks for flamegraph tools, and a
 //! cross-run aggregate with per-path medians and deltas. Like the rest
 //! of the read side this module needs no cargo features: it parses
@@ -126,8 +126,7 @@ impl ProfileReport {
         if self.paths.is_empty() {
             let _ = writeln!(
                 s,
-                "no span-tree data in trace (run with --prof, or --trace on an \
-                 armed telemetry build)"
+                "no span-tree data in trace (run with --obs on a telemetry build)"
             );
             return s;
         }
@@ -301,7 +300,7 @@ impl AggReport {
     /// `det` column marking deterministic-column agreement.
     pub fn render(&self) -> String {
         let mut s = String::new();
-        let _ = writeln!(s, "fedprof agg: {} runs, {} paths", self.runs, self.rows.len());
+        let _ = writeln!(s, "fedobs prof agg: {} runs, {} paths", self.runs, self.rows.len());
         if self.rows.is_empty() {
             return s;
         }

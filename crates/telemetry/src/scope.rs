@@ -1,8 +1,8 @@
-//! Algorithm-health reporting: the engine behind the `fedscope` binary.
+//! Algorithm-health reporting: the engine behind `fedobs health`.
 //!
 //! Operates on the health event family ([`Event::Health`],
 //! [`Event::Anomaly`]) emitted by the core `HealthMonitor` into a
-//! `--health` JSONL file. Three entry points, mirroring the CLI:
+//! `--obs` JSONL stream. Three entry points, mirroring the CLI:
 //!
 //! * [`HealthReport::from_events`] + [`HealthReport::render`] — a
 //!   per-run health summary and per-round timeline,
@@ -72,9 +72,6 @@ pub struct HealthReport {
     pub samples: Vec<Sample>,
     /// Anomalies, sorted by round then rule.
     pub anomalies: Vec<AnomalyRecord>,
-    /// Non-health events present in the stream (ignored but counted,
-    /// so `fedscope` can warn when pointed at a full `--trace` file).
-    pub other_events: u64,
 }
 
 impl HealthReport {
@@ -82,7 +79,6 @@ impl HealthReport {
     pub fn from_events(events: &[Event]) -> Self {
         let mut samples = Vec::new();
         let mut anomalies = Vec::new();
-        let mut other_events = 0u64;
         for ev in events {
             match ev {
                 Event::Health {
@@ -123,12 +119,12 @@ impl HealthReport {
                         limit: *limit,
                     });
                 }
-                _ => other_events += 1,
+                _ => {}
             }
         }
         samples.sort_by_key(|s| s.round);
         anomalies.sort_by_key(|a| (a.round, a.rule));
-        HealthReport { samples, anomalies, other_events }
+        HealthReport { samples, anomalies }
     }
 
     /// Anomaly counts per rule, in [`AnomalyRule::all`] order (zero
@@ -192,17 +188,10 @@ impl HealthReport {
         let mut s = String::new();
         let _ = writeln!(
             s,
-            "fedscope health report: {} samples, {} anomalies",
+            "fedobs health report: {} samples, {} anomalies",
             self.samples.len(),
             self.anomalies.len()
         );
-        if self.other_events > 0 {
-            let _ = writeln!(
-                s,
-                "note: {} non-health events ignored (full --trace file?)",
-                self.other_events
-            );
-        }
 
         if let (Some(first), Some(last)) = (self.samples.first(), self.samples.last()) {
             let _ = writeln!(
@@ -310,7 +299,7 @@ impl HealthDiff {
     /// Render the per-rule table and trajectory deltas.
     pub fn render(&self) -> String {
         let mut s = String::new();
-        let _ = writeln!(s, "fedscope diff (baseline vs candidate)");
+        let _ = writeln!(s, "fedobs health diff (baseline vs candidate)");
         let _ = writeln!(s, "{:<18} {:>10} {:>10} {:>10}", "rule", "baseline", "candidate", "delta");
         for (rule, base, cand) in &self.rule_counts {
             if *base == 0 && *cand == 0 {
@@ -390,16 +379,15 @@ mod tests {
         assert_eq!(r.samples.len(), 2);
         assert_eq!(r.samples[0].round, 1);
         assert_eq!(r.anomalies.len(), 1);
-        assert_eq!(r.other_events, 0);
         assert!(r.validate().is_empty());
     }
 
     #[test]
-    fn non_health_events_counted_not_parsed() {
+    fn non_health_events_are_skipped() {
         let events = vec![Event::Dropped { count: 1 }, sample(1, 0.5)];
         let r = HealthReport::from_events(&events);
-        assert_eq!(r.other_events, 1);
         assert_eq!(r.samples.len(), 1);
+        assert!(r.anomalies.is_empty());
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Aggregated per-run summary: the `TelemetryReport`.
 //!
 //! Built either from a live collector drain or from a parsed JSONL
-//! trace; `fedtrace` and the bench report path both render it with
+//! trace; `fedobs summary` renders it with
 //! [`TelemetryReport::render`].
 
 use crate::event::Event;
@@ -87,16 +87,16 @@ pub struct TelemetryReport {
     pub span_events: u64,
     /// Events discarded at the buffer cap.
     pub dropped: u64,
-    /// Algorithm-health samples present in the trace (see `fedscope`).
+    /// Algorithm-health samples present in the trace (see `fedobs health`).
     pub health_samples: u64,
-    /// Algorithm-health anomalies present in the trace (see `fedscope`).
+    /// Algorithm-health anomalies present in the trace (see `fedobs health`).
     pub anomalies: u64,
     /// Per-round participation records from resilient (fault-injected)
     /// runs.
     pub participation_rounds: u64,
     /// Rounds skipped for failing quorum.
     pub skipped_rounds: u64,
-    /// Span-tree path aggregates present in the trace (see `fedprof`).
+    /// Span-tree path aggregates present in the trace (see `fedobs prof`).
     pub path_stats: u64,
     /// Raw span records truncated at the buffer cap with no streaming
     /// sink attached (aggregates stay exact; raw percentiles are a
@@ -313,7 +313,7 @@ impl TelemetryReport {
         if self.health_samples > 0 || self.anomalies > 0 {
             let _ = writeln!(
                 s,
-                "health: {} samples, {} anomalies (see `fedscope` for the full report)",
+                "health: {} samples, {} anomalies (see `fedobs health` for the full report)",
                 self.health_samples, self.anomalies
             );
         }
@@ -327,7 +327,7 @@ impl TelemetryReport {
         if self.path_stats > 0 {
             let _ = writeln!(
                 s,
-                "profile: {} span-tree paths (see `fedprof report` for the tree)",
+                "profile: {} span-tree paths (see `fedobs prof report` for the tree)",
                 self.path_stats
             );
         }

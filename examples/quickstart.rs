@@ -5,10 +5,10 @@
 //! cargo run --release --example quickstart
 //! ```
 //!
-//! With `--features telemetry`, pass `--trace PATH` to also record a
-//! fedtrace JSONL event trace of the run and print its summary tables,
-//! and/or `--prof PATH` to record a fedprof span-tree profile (inspect
-//! with `fedprof report PATH`).
+//! With `--features telemetry`, pass `--obs PATH` to also stream the
+//! run's observability record to PATH — the same file the bench
+//! binaries write — and inspect it with `fedobs summary PATH`, `fedobs
+//! health PATH` or `fedobs prof report PATH`.
 
 // Example code: panicking with context keeps the walkthrough focused
 // on the federated-learning API rather than error plumbing.
@@ -33,21 +33,32 @@ fn path_from_args(flag: &str) -> Option<String> {
 }
 
 fn main() {
-    let trace_path = path_from_args("--trace");
-    let prof_path = path_from_args("--prof");
+    let obs_path = path_from_args("--obs");
+    // Arm the collector, stream to the file and lead it with the run
+    // ledger header; `collector::finish_stream` below completes it.
     #[cfg(feature = "telemetry")]
-    if trace_path.is_some() || prof_path.is_some() {
-        fedprox_telemetry::collector::arm();
-    }
-    #[cfg(not(feature = "telemetry"))]
-    for (flag, requested) in
-        [("--trace", trace_path.is_some()), ("--prof", prof_path.is_some())]
-    {
-        if requested {
-            eprintln!(
-                "warning: {flag} ignored: rebuild with `--features telemetry` to record it"
-            );
+    let streamed = match obs_path.as_deref() {
+        Some(path) => {
+            use fedprox_telemetry::collector;
+            collector::arm();
+            let streamed = collector::stream_to(path).is_ok();
+            let ledger = fedprox_obs::RunLedger {
+                version: 1,
+                config: fedprox_obs::fnv64("quickstart"),
+                seed: 42,
+                kernel: fedprox::tensor::kernel::active().name().to_string(),
+                faults: fedprox_obs::fnv64(""),
+                features: "telemetry".to_string(),
+                crates: format!("fedprox={}", env!("CARGO_PKG_VERSION")),
+            };
+            collector::record_event(ledger.to_event());
+            streamed
         }
+        None => false,
+    };
+    #[cfg(not(feature = "telemetry"))]
+    if obs_path.is_some() {
+        eprintln!("warning: --obs ignored: rebuild with `--features telemetry` to record it");
     }
 
     // 1. A heterogeneous federation: 8 devices, power-law-ish sizes,
@@ -91,34 +102,10 @@ fn main() {
     }
 
     #[cfg(feature = "telemetry")]
-    if trace_path.is_some() || prof_path.is_some() {
-        use fedprox_telemetry::event::Event;
-        use fedprox_telemetry::{collector, jsonl, summary};
-        let events = collector::drain();
-        collector::disarm();
-        if let Some(path) = trace_path {
-            match std::fs::write(&path, jsonl::to_jsonl(&events)) {
-                Ok(()) => println!("trace: {} events written to {path}", events.len()),
-                Err(e) => eprintln!("trace: failed to write {path}: {e}"),
-            }
-            print!("{}", summary::TelemetryReport::from_events(&events).render(10));
-        }
-        if let Some(path) = prof_path {
-            let prof: Vec<Event> = events
-                .iter()
-                .filter(|e| matches!(e, Event::PathStat { .. } | Event::TraceTruncated { .. }))
-                .cloned()
-                .collect();
-            match std::fs::write(&path, jsonl::to_jsonl(&prof)) {
-                Ok(()) => println!(
-                    "prof: {} span-tree paths written to {path} \
-                     (inspect with `fedprof report {path}`)",
-                    prof.len()
-                ),
-                Err(e) => eprintln!("prof: failed to write {path}: {e}"),
-            }
+    if let Some(path) = obs_path {
+        match fedprox_telemetry::collector::finish_stream(&path, streamed) {
+            Ok(()) => println!("obs: run written to {path} (inspect with `fedobs summary`)"),
+            Err(e) => eprintln!("obs: failed to write {path}: {e}"),
         }
     }
-    #[cfg(not(feature = "telemetry"))]
-    drop((trace_path, prof_path));
 }
