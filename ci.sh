@@ -1,8 +1,8 @@
 #!/usr/bin/env sh
-# CI gate: build → e2ebench-build → test (default / workspace / check /
-# telemetry) → clippy → fedlint → fedobs summary smoke → perf-smoke →
-# kernel-diff → fedobs-smoke → fedsim-smoke. Any failing stage fails the
-# run.
+# CI gate: build → e2ebench-build → e2ebench-invisibility → test
+# (default / workspace / check / telemetry) → clippy → fedlint → fedobs
+# summary smoke → perf-smoke → kernel-diff → fedobs-smoke → fedsim-smoke.
+# Any failing stage fails the run.
 set -eu
 
 echo "==> cargo build --release"
@@ -13,6 +13,20 @@ cargo build --release
 # change breaks the API it calls or would rewrite its lockfile.
 echo "==> e2ebench-build (benchmark package against the current library)"
 cargo build --release --offline --locked --manifest-path e2ebench/Cargo.toml
+
+# e2ebench-invisibility: each traced figure run rebuilds the round loop
+# from public calls (every anchor computed by its own solve, loss and
+# gradient evaluated in separate passes) and fails unless its final
+# model equals FederatedTrainer::run's bitwise — the check that the
+# engine's fused evaluation and anchor hand-off change no bit.
+echo "==> e2ebench-invisibility (traced public-call loop vs the engine, fig2 + fig3)"
+for w in fig2-convex fig3-cnn; do
+    last="$(python3 e2ebench/run.py --workload "$w" --seed 1 --seconds 1 --trace 1 | tail -n 1)"
+    case "$last" in
+        *'"correct": true'*) ;;
+        *) echo "e2ebench-invisibility: $w traced run not correct: $last"; exit 1 ;;
+    esac
+done
 
 echo "==> cargo test -q"
 cargo test -q

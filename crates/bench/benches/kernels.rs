@@ -82,7 +82,7 @@ fn bench_conv(c: &mut Criterion) {
                 &weight,
                 &mut gw,
                 &mut gb,
-                &mut gi,
+                Some(&mut gi),
                 &mut scratch,
             )
         })

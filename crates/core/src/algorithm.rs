@@ -141,9 +141,10 @@ impl<'a, M: LossModel> FederatedTrainer<'a, M> {
         // Device-level direction probes never cross the simulated wire
         // (the frame format must not depend on telemetry state), so the
         // networked monitor carries zero direction statistics and gets
-        // its straggler skew backfilled from the clock afterwards.
+        // its straggler skew backfilled from the clock afterwards. The
+        // actor workers compute their own anchors: nothing is handed off.
         let mut recorder =
-            Recorder::new(self.model, Some(self.devices), Some(self.test), &self.cfg, &w0);
+            Recorder::new(self.model, Some(self.devices), Some(self.test), &self.cfg, &w0, false);
         // The runtime's own resilience option wins when both are set;
         // otherwise the trainer-level policy is handed down.
         let mut net_opts = opts.net.clone();

@@ -7,7 +7,9 @@ use crate::error::FedError;
 use fedprox_data::synthetic::device_rng;
 use fedprox_data::Dataset;
 use fedprox_models::LossModel;
-use fedprox_optim::solver::{IterateChoice, LocalOutcome, LocalSolver, LocalSolverConfig};
+use fedprox_optim::solver::{
+    IterateChoice, LocalOutcome, LocalSolver, LocalSolverConfig, SolveScratch,
+};
 use fedprox_optim::{EstimatorKind, QuadraticProx, SparseQuadraticProx, StepSize, ZeroProx};
 
 /// One device of the federation.
@@ -17,6 +19,28 @@ pub struct Device {
     pub id: usize,
     /// The local training shard `𝒟_n`.
     pub data: Dataset,
+}
+
+/// Where a local solve's anchor gradient comes from.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Anchor<'g> {
+    /// As the algorithm prescribes: the variance-reduced solves compute
+    /// their own `∇F_n(w̄)`; FSVRG reads the server-distributed global
+    /// gradient (`None` when the server sent none).
+    Server(Option<&'g [f64]>),
+    /// The device's own `∇F_n(w̄)` at this very global model, evaluated
+    /// earlier (the previous round's evaluation). FedProxVR's
+    /// variance-reduced solves start from it instead of recomputing it;
+    /// every other algorithm ignores it.
+    Own(&'g [f64]),
+}
+
+/// Buffers a caller holds across local updates: the solver's scratch and
+/// the proximal centre, so a solve allocates only the returned model.
+#[derive(Debug, Default)]
+pub(crate) struct LocalScratch {
+    solve: SolveScratch,
+    center: Vec<f64>,
 }
 
 /// Result of one local update.
@@ -72,6 +96,22 @@ impl Device {
         round: usize,
         global_grad: Option<&[f64]>,
     ) -> Result<LocalUpdate, FedError> {
+        let mut scratch = LocalScratch::default();
+        self.local_update_with(model, global, cfg, round, Anchor::Server(global_grad), &mut scratch)
+    }
+
+    /// The local update every entry point runs: the algorithm's solve from
+    /// `global`, its anchor gradient taken from `anchor`, its buffers from
+    /// `scratch` (bitwise the same result whatever the scratch held before).
+    pub(crate) fn local_update_with<M: LossModel>(
+        &self,
+        model: &M,
+        global: &[f64],
+        cfg: &FedConfig,
+        round: usize,
+        anchor: Anchor<'_>,
+        scratch: &mut LocalScratch,
+    ) -> Result<LocalUpdate, FedError> {
         let mut rng = device_rng(
             cfg.seed ^ (round as u64).wrapping_mul(0x2545F4914F6CDD1D),
             self.id as u64,
@@ -80,69 +120,92 @@ impl Device {
         let step = cfg
             .step_override
             .unwrap_or_else(|| StepSize::paper(cfg.beta, cfg.smoothness));
+        let scfg = |kind, choice| LocalSolverConfig {
+            kind,
+            step,
+            tau: cfg.tau,
+            batch_size: cfg.batch_size,
+            choice,
+        };
+        // The proximal centre is the global model, copied into the buffer
+        // the scratch keeps across solves (and handed back after).
+        let center = |mut c: Vec<f64>| {
+            c.clear();
+            c.extend_from_slice(global);
+            c
+        };
+        let (data, solve) = (&self.data, &mut scratch.solve);
         let outcome: LocalOutcome = match cfg.algorithm {
             Algorithm::FedAvg => {
                 // FedAvg: τ plain SGD steps from the global model, last
                 // iterate, no proximal term, no anchor full gradient.
-                let scfg = LocalSolverConfig {
-                    kind: EstimatorKind::Sgd,
-                    step,
-                    tau: cfg.tau,
-                    batch_size: cfg.batch_size,
-                    choice: IterateChoice::Last,
-                };
-                solver.solve(model, &self.data, &ZeroProx, global, &scfg, &mut rng)
+                let scfg = scfg(EstimatorKind::Sgd, IterateChoice::Last);
+                solver.solve_with(model, data, &ZeroProx, global, &scfg, &mut rng, solve)
             }
             Algorithm::FedProx => {
                 // FedProx: proximal surrogate + plain SGD, last iterate.
-                let prox = QuadraticProx::new(cfg.mu, global.to_vec());
-                let scfg = LocalSolverConfig {
-                    kind: EstimatorKind::Sgd,
-                    step,
-                    tau: cfg.tau,
-                    batch_size: cfg.batch_size,
-                    choice: IterateChoice::Last,
-                };
-                solver.solve(model, &self.data, &prox, global, &scfg, &mut rng)
+                let prox = QuadraticProx::new(cfg.mu, center(std::mem::take(&mut scratch.center)));
+                let scfg = scfg(EstimatorKind::Sgd, IterateChoice::Last);
+                let out = solver.solve_with(model, data, &prox, global, &scfg, &mut rng, solve);
+                scratch.center = prox.anchor;
+                out
             }
             Algorithm::Fsvrg => {
                 // FSVRG: SVRG anchored at the *global* gradient the server
                 // distributed; no proximal term; last iterate. A caller
                 // that skipped the distribution step gets a typed error
                 // rather than a panic reachable from the public API.
-                let ag = global_grad.ok_or(FedError::MissingGlobalGradient { round })?;
-                let scfg = LocalSolverConfig {
-                    kind: EstimatorKind::Svrg,
-                    step,
-                    tau: cfg.tau,
-                    batch_size: cfg.batch_size,
-                    choice: IterateChoice::Last,
+                let Anchor::Server(Some(ag)) = anchor else {
+                    return Err(FedError::MissingGlobalGradient { round });
                 };
-                solver.solve_anchored(
+                let scfg = scfg(EstimatorKind::Svrg, IterateChoice::Last);
+                solver.solve_anchored_with(
                     model,
-                    &self.data,
+                    data,
                     &ZeroProx,
                     global,
                     &scfg,
                     &mut rng,
                     Some(ag),
+                    solve,
                 )
             }
             Algorithm::FedProxVr(kind) => {
-                let scfg = LocalSolverConfig {
-                    kind,
-                    step,
-                    tau: cfg.tau,
-                    batch_size: cfg.batch_size,
-                    choice: cfg.iterate_choice,
+                let scfg = scfg(kind, cfg.iterate_choice);
+                // A reused ∇F_n(w̄) stands in for the solve's own anchor
+                // computation (Algorithm 1 line 3) and is accounted as
+                // that computation: the same guard, the same counters,
+                // the same D_n gradient evaluations.
+                let own = match anchor {
+                    Anchor::Own(g) if kind.needs_anchor() => {
+                        fedprox_telemetry::counter!("optim.anchor_full_grad", 1u32);
+                        fedprox_telemetry::counter!("optim.grad_evals", data.len());
+                        fedprox_tensor::guard::check_finite(
+                            "anchor full gradient (Algorithm 1 line 3)",
+                            g,
+                        );
+                        Some(g)
+                    }
+                    _ => None,
                 };
-                if cfg.l1 > 0.0 {
-                    let prox = SparseQuadraticProx::new(cfg.mu, cfg.l1, global.to_vec());
-                    solver.solve(model, &self.data, &prox, global, &scfg, &mut rng)
+                let c = center(std::mem::take(&mut scratch.center));
+                let mut out = if cfg.l1 > 0.0 {
+                    let prox = SparseQuadraticProx::new(cfg.mu, cfg.l1, c);
+                    let out = solver
+                        .solve_anchored_with(model, data, &prox, global, &scfg, &mut rng, own, solve);
+                    scratch.center = prox.anchor;
+                    out
                 } else {
-                    let prox = QuadraticProx::new(cfg.mu, global.to_vec());
-                    solver.solve(model, &self.data, &prox, global, &scfg, &mut rng)
+                    let prox = QuadraticProx::new(cfg.mu, c);
+                    let out = solver
+                        .solve_anchored_with(model, data, &prox, global, &scfg, &mut rng, own, solve);
+                    scratch.center = prox.anchor;
+                    out
+                };
+                if own.is_some() {
+                    out.grad_evals += data.len();
                 }
+                out
             }
         };
         Ok(LocalUpdate { w: outcome.w, grad_evals: outcome.grad_evals, dir_stats: outcome.dir_stats })

@@ -25,9 +25,24 @@
 //! and event-driven runs of one config agree bitwise in every metric
 //! field (the sim-time and byte columns report the virtual clock, which
 //! the sequential run leaves at zero). `tests/sim_runtime.rs` locks this.
+//!
+//! **Evaluation feeds the next round.** An evaluation at `w̄^{(s)}` makes
+//! one fused loss-and-gradient pass per device, and the per-device
+//! gradients `∇F_n(w̄^{(s)})` are exactly the anchors Algorithm 1 line 3
+//! has round `s+1` compute at the same model through the same reduction.
+//! For FedProxVR's variance-reduced solves the recorder keeps them, tagged
+//! `s`, and round `s+1` hands device `n` its own as the anchor. Each is
+//! dropped as its solve takes it and the rest once the round's solves
+//! are done; any other round recomputes. The reused anchor is guarded
+//! and counted as computed (`grad_evals`, eq. (19) timing and the
+//! telemetry counters are unchanged) — a real device computes its own,
+//! so the saving is the simulator's only. Armed telemetry runs compute
+//! every anchor inside its solve, so the profile charges each counted
+//! gradient to the solve that counts it.
 
+use crate::algorithm::Algorithm;
 use crate::config::{FedConfig, RunnerKind, SamplerSpec, SimRunnerOptions};
-use crate::device::Device;
+use crate::device::{Anchor, Device, LocalScratch};
 use crate::error::FedError;
 use crate::metrics::{DivergenceCause, History, RoundRecord, RunningTotal};
 use crate::population::Population;
@@ -193,7 +208,11 @@ impl<'a, M: LossModel> RoundEngine<'a, M> {
         // (sampled rounds are the story a million-device run tells).
         let record_participation = resil.is_some() || compact;
 
-        let mut recorder = Recorder::new(self.model, devices, self.test, cfg, &w0);
+        // Evaluations hand their per-device gradients to the next round's
+        // solves where those would compute exactly them (module docs).
+        let hand_off = matches!(cfg.algorithm, Algorithm::FedProxVr(kind) if kind.needs_anchor())
+            && !collector_armed();
+        let mut recorder = Recorder::new(self.model, devices, self.test, cfg, &w0, hand_off);
         let mut global = w0;
         let mut agg = vec![0.0; dim];
         let mut total_grad_evals = RunningTotal::new();
@@ -203,6 +222,9 @@ impl<'a, M: LossModel> RoundEngine<'a, M> {
 
         for s in 1..=cfg.rounds {
             fedprox_telemetry::span!("core", "round", "s" => s);
+            // ∇F_n(w̄^{(s−1)}) from the evaluation that ended round s−1,
+            // when it kept them.
+            let mut anchors = recorder.take_anchors(s - 1);
             let sampled = sampler.sample(n, s, cfg.seed, |d| self.population.size_of(d));
 
             // Fault filtering on the sampled set, addressed by stable
@@ -281,25 +303,30 @@ impl<'a, M: LossModel> RoundEngine<'a, M> {
 
             // Local solves: the per-(round, device) solver streams are
             // keyed by stable id, so a lazily synthesized device produces
-            // the same local model a resident one would.
+            // the same local model a resident one would. The round's
+            // solves share one scratch; it and the anchors no solve took
+            // are freed before the evaluation allocates its own buffers.
+            let mut local = LocalScratch::default();
             let mut updates = Vec::with_capacity(active.len());
             for &d in &active {
                 fedprox_telemetry::span!("core", "device_update", "device" => d, "round" => s - 1);
+                let own = anchors.as_mut().and_then(|a| a.get_mut(d)?.take());
+                let anchor = match own.as_deref() {
+                    Some(g) => Anchor::Own(g),
+                    None => Anchor::Server(global_grad.as_deref()),
+                };
                 let u = match &self.population {
-                    Population::Materialized(devs) => devs[d].local_update_anchored(
-                        self.model,
-                        &global,
-                        cfg,
-                        s - 1,
-                        global_grad.as_deref(),
-                    ),
-                    Population::Lazy(lazy) => {
-                        lazy.device(d).local_update_anchored(self.model, &global, cfg, s - 1, None)
+                    Population::Materialized(devs) => {
+                        devs[d].local_update_with(self.model, &global, cfg, s - 1, anchor, &mut local)
                     }
+                    Population::Lazy(lazy) => lazy
+                        .device(d)
+                        .local_update_with(self.model, &global, cfg, s - 1, anchor, &mut local),
                 }?;
                 total_grad_evals.add(u.grad_evals as u64);
                 updates.push(u);
             }
+            drop((local, anchors));
             recorder.note_round(s, &active, &updates);
 
             // Optional θ measurement against the pre-aggregation global
@@ -477,21 +504,43 @@ pub(crate) struct Recorder<'a, M: LossModel> {
     cfg: &'a FedConfig,
     records: Vec<RoundRecord>,
     divergence: DivergenceCause,
+    /// Whether evaluations keep their per-device gradients as the next
+    /// round's anchors.
+    hand_off: bool,
+    /// `(s, [∇F_n(w̄^{(s)})])` from the evaluation of round `s`, each
+    /// taken at most once.
+    anchors: Option<(usize, Vec<Option<Vec<f64>>>)>,
     #[cfg(feature = "telemetry")]
     monitor: Option<crate::health::HealthMonitor>,
+}
+
+/// Whether the telemetry collector is recording (never in builds
+/// without the `telemetry` feature).
+fn collector_armed() -> bool {
+    #[cfg(feature = "telemetry")]
+    {
+        fedprox_telemetry::collector::is_armed()
+    }
+    #[cfg(not(feature = "telemetry"))]
+    {
+        false
+    }
 }
 
 impl<'a, M: LossModel> Recorder<'a, M> {
     /// Evaluate round 0 — the initial global model, so every curve
     /// starts from the same baseline (and divergence is visible as an
     /// *increase*) — and arm the health monitor. Rounds are evaluated
-    /// only when both `devices` and `test` are present.
+    /// only when both `devices` and `test` are present; with `hand_off`,
+    /// each evaluation keeps its per-device gradients for
+    /// [`Self::take_anchors`].
     pub(crate) fn new(
         model: &'a M,
         devices: Option<&'a [Device]>,
         test: Option<&'a Dataset>,
         cfg: &'a FedConfig,
         w0: &[f64],
+        hand_off: bool,
     ) -> Self {
         let mut r = Recorder {
             model,
@@ -500,17 +549,28 @@ impl<'a, M: LossModel> Recorder<'a, M> {
             cfg,
             records: Vec::new(),
             divergence: DivergenceCause::None,
+            hand_off,
+            anchors: None,
             #[cfg(feature = "telemetry")]
             monitor: None,
         };
-        r.records.extend(r.evaluate(0, w0, None, 0, 0.0, 0));
+        // An armed run's σ̄² is a statistic of these same round-0
+        // gradients, so they are kept for it too.
+        let armed = collector_armed();
+        let pass = r.evaluate(0, w0, None, 0, 0.0, 0, hand_off || armed).map(|(rec, pass)| {
+            r.records.push(rec);
+            pass
+        });
         #[cfg(feature = "telemetry")]
         {
             // The σ̄² measurement is read-only on model and data — it
             // draws from no RNG stream — so arming cannot perturb the
             // training trajectory.
-            r.monitor = devices.filter(|_| fedprox_telemetry::collector::is_armed()).map(|devs| {
-                let sigma = eval::empirical_sigma_bar_sq(model, devs, w0);
+            r.monitor = devices.filter(|_| armed).map(|devs| {
+                let sigma = match &pass {
+                    Some(p) => eval::sigma_bar_sq_of(devs, &p.grads, &p.gbar),
+                    None => eval::empirical_sigma_bar_sq(model, devs, w0),
+                };
                 crate::health::HealthMonitor::new(crate::health::HealthConfig::from_run(
                     cfg, sigma,
                 ))
@@ -519,9 +579,17 @@ impl<'a, M: LossModel> Recorder<'a, M> {
                 m.observe_eval(0, rec.train_loss, rec.grad_norm_sq, None);
             }
         }
+        if let Some(p) = pass {
+            r.keep_anchors(0, p.grads);
+        }
         r
     }
 
+    /// One evaluation of `global`: a fused loss-and-gradient pass per
+    /// device gives the training loss and the stationarity gap (bitwise
+    /// [`eval::global_loss`] and [`eval::stationarity_gap`]); with `keep`
+    /// the pass also carries the per-device gradients.
+    #[allow(clippy::too_many_arguments)]
     fn evaluate(
         &self,
         round: usize,
@@ -530,19 +598,36 @@ impl<'a, M: LossModel> Recorder<'a, M> {
         grad_evals: u64,
         sim_time: f64,
         bytes: u64,
-    ) -> Option<RoundRecord> {
+        keep: bool,
+    ) -> Option<(RoundRecord, eval::FusedPass)> {
         let (devices, test) = (self.devices?, self.test?);
         fedprox_telemetry::span!("core", "evaluate", "round" => round);
-        Some(RoundRecord {
+        let pass = eval::fused_pass(self.model, devices, global, keep);
+        let rec = RoundRecord {
             round,
-            train_loss: eval::global_loss(self.model, devices, global),
+            train_loss: pass.loss,
             test_accuracy: eval::test_accuracy(self.model, test, global),
-            grad_norm_sq: eval::stationarity_gap(self.model, devices, global),
+            grad_norm_sq: vecops::norm_sq(&pass.gbar),
             theta_measured: theta,
             sim_time,
             bytes,
             grad_evals,
-        })
+        };
+        Some((rec, pass))
+    }
+
+    /// Keep round `s`'s per-device gradients as round `s+1`'s anchors
+    /// (only when handing off; an empty set keeps nothing).
+    fn keep_anchors(&mut self, s: usize, grads: Vec<Vec<f64>>) {
+        if self.hand_off && !grads.is_empty() {
+            self.anchors = Some((s, grads.into_iter().map(Some).collect()));
+        }
+    }
+
+    /// The per-device gradients the evaluation of round `s` kept, indexed
+    /// by device id. Anything older is dropped.
+    pub(crate) fn take_anchors(&mut self, s: usize) -> Option<Vec<Option<Vec<f64>>>> {
+        self.anchors.take().filter(|&(round, _)| round == s).map(|(_, grads)| grads)
     }
 
     /// Evaluate round `s` when it falls on the eval cadence: record it,
@@ -560,9 +645,14 @@ impl<'a, M: LossModel> Recorder<'a, M> {
         if !(s.is_multiple_of(self.cfg.eval_every) || s == self.cfg.rounds) {
             return false;
         }
-        let Some(rec) = self.evaluate(s, global, theta, grad_evals, sim_time, bytes) else {
+        // The final round's gradients would feed no round.
+        let keep = self.hand_off && s < self.cfg.rounds;
+        let Some((rec, pass)) =
+            self.evaluate(s, global, theta, grad_evals, sim_time, bytes, keep)
+        else {
             return false;
         };
+        self.keep_anchors(s, pass.grads);
         let bad = !rec.train_loss.is_finite() || rec.train_loss > self.cfg.loss_guard;
         #[cfg(feature = "telemetry")]
         if let Some(m) = self.monitor.as_mut() {

@@ -1,42 +1,54 @@
 //! Global evaluation: loss, gradient norm, accuracy, and the empirical
 //! heterogeneity σ̄² of Assumption 1.
+//!
+//! Every figure reduces per-device values in device order through one
+//! loss reduction (`Σ_n D_n·F_n / D`) and one gradient reduction
+//! (`out += (D_n/D)·∇F_n`, which equals scaling a copy and adding it:
+//! rustc never contracts `a + b·c` to a fused multiply-add). The public
+//! functions and the round engine's fused evaluation pass therefore agree
+//! bitwise.
 
 use crate::device::Device;
 use fedprox_data::Dataset;
-use fedprox_models::LossModel;
+use fedprox_models::{GradScratch, LossModel};
 use fedprox_tensor::vecops;
-use rayon::prelude::*;
 
-/// Global training loss `F̄(w) = Σ_n (D_n/D) F_n(w)` (eq. (2)),
-/// parallel over devices.
-pub fn global_loss<M: LossModel>(model: &M, devices: &[Device], w: &[f64]) -> f64 {
+/// `D = Σ_n D_n`, asserted non-zero.
+fn total_samples(devices: &[Device]) -> usize {
     let total: usize = devices.iter().map(Device::samples).sum();
-    assert!(total > 0, "global_loss: empty federation");
-    let weighted: f64 = devices
-        .par_iter()
-        .map(|d| d.samples() as f64 * model.full_loss(w, &d.data))
-        .sum();
+    assert!(total > 0, "eval: empty federation");
+    total
+}
+
+/// `F̄ = Σ_n D_n·F_n / D` from per-device losses in device order — every
+/// training-loss figure reduces through here.
+fn weighted_loss(devices: &[Device], total: usize, losses: impl Iterator<Item = f64>) -> f64 {
+    let weighted: f64 = devices.iter().zip(losses).map(|(d, l)| d.samples() as f64 * l).sum();
     weighted / total as f64
 }
 
-/// Global gradient `∇F̄(w)` into `out`, parallel over devices.
+/// `out += (D_n/D)·g`: device `d`'s share of `∇F̄`. Combined in device
+/// order into a zeroed `out`, this is the one gradient reduction.
+fn add_weighted(d: &Device, total: usize, g: &[f64], out: &mut [f64]) {
+    vecops::axpy(d.samples() as f64 / total as f64, g, out);
+}
+
+/// Global training loss `F̄(w) = Σ_n (D_n/D) F_n(w)` (eq. (2)).
+pub fn global_loss<M: LossModel>(model: &M, devices: &[Device], w: &[f64]) -> f64 {
+    let total = total_samples(devices);
+    weighted_loss(devices, total, devices.iter().map(|d| model.full_loss(w, &d.data)))
+}
+
+/// Global gradient `∇F̄(w)` into `out`: each device's full gradient
+/// through one reused buffer, combined in device order.
 pub fn global_grad<M: LossModel>(model: &M, devices: &[Device], w: &[f64], out: &mut [f64]) {
-    let total: usize = devices.iter().map(Device::samples).sum();
-    assert!(total > 0, "global_grad: empty federation");
-    // Per-device gradients in parallel, combined in device order so the
-    // result is independent of thread scheduling.
-    let partials: Vec<Vec<f64>> = devices
-        .par_iter()
-        .map(|d| {
-            let mut g = vec![0.0; model.dim()];
-            model.full_grad(w, &d.data, &mut g);
-            vecops::scale(d.samples() as f64 / total as f64, &mut g);
-            g
-        })
-        .collect();
+    let total = total_samples(devices);
+    let mut scratch = GradScratch::new();
+    let mut g = vec![0.0; model.dim()];
     out.fill(0.0);
-    for p in &partials {
-        vecops::add_assign(out, p);
+    for d in devices {
+        model.full_grad_in(w, &d.data, &mut g, &mut scratch);
+        add_weighted(d, total, &g, out);
     }
 }
 
@@ -55,28 +67,74 @@ pub fn test_accuracy<M: LossModel>(model: &M, test: &Dataset, w: &[f64]) -> f64 
 /// Empirical σ̄² of Assumption 1, eq. (5): with
 /// `σ_n = ‖∇F_n(w) − ∇F̄(w)‖ / ‖∇F̄(w)‖`, returns `Σ_n (D_n/D) σ_n²`.
 /// Returns `None` when `‖∇F̄(w)‖` is numerically zero (the ratio is
-/// undefined at stationary points).
+/// undefined at stationary points). One [`fused_pass`] computes each
+/// device's gradient once for both `∇F̄(w)` and its own deviation.
 pub fn empirical_sigma_bar_sq<M: LossModel>(
     model: &M,
     devices: &[Device],
     w: &[f64],
 ) -> Option<f64> {
-    let mut gbar = vec![0.0; model.dim()];
-    global_grad(model, devices, w, &mut gbar);
-    let denom = vecops::norm_sq(&gbar);
+    let pass = fused_pass(model, devices, w, true);
+    sigma_bar_sq_of(devices, &pass.grads, &pass.gbar)
+}
+
+/// σ̄² (see [`empirical_sigma_bar_sq`]) from per-device gradients
+/// `grads[n] = ∇F_n(w)` in device order and their combination
+/// `gbar = ∇F̄(w)`.
+pub(crate) fn sigma_bar_sq_of(devices: &[Device], grads: &[Vec<f64>], gbar: &[f64]) -> Option<f64> {
+    let denom = vecops::norm_sq(gbar);
     if denom < 1e-24 {
         return None;
     }
-    let total: usize = devices.iter().map(Device::samples).sum();
+    let total = total_samples(devices);
     let sum: f64 = devices
-        .par_iter()
-        .map(|d| {
-            let mut g = vec![0.0; model.dim()];
-            model.full_grad(w, &d.data, &mut g);
-            d.samples() as f64 / total as f64 * vecops::dist_sq(&g, &gbar)
-        })
+        .iter()
+        .zip(grads)
+        .map(|(d, g)| d.samples() as f64 / total as f64 * vecops::dist_sq(g, gbar))
         .sum();
     Some(sum / denom)
+}
+
+/// What one [`fused_pass`] computes at `w`.
+pub(crate) struct FusedPass {
+    /// `F̄(w)`, bitwise [`global_loss`].
+    pub(crate) loss: f64,
+    /// `∇F̄(w)`, bitwise [`global_grad`].
+    pub(crate) gbar: Vec<f64>,
+    /// Each device's unscaled `∇F_n(w)` in device order when kept, else
+    /// empty.
+    pub(crate) grads: Vec<Vec<f64>>,
+}
+
+/// One fused loss-and-gradient pass per device at `w`
+/// ([`LossModel::full_loss_and_grad_in`]), combined through the same
+/// reductions as [`global_loss`] and [`global_grad`]. With `keep`, each
+/// device's gradient gets its own buffer and is returned; without, one
+/// buffer serves them all.
+pub(crate) fn fused_pass<M: LossModel>(
+    model: &M,
+    devices: &[Device],
+    w: &[f64],
+    keep: bool,
+) -> FusedPass {
+    let total = total_samples(devices);
+    let dim = model.dim();
+    let mut scratch = GradScratch::new();
+    let mut gbar = vec![0.0; dim];
+    let mut grads = Vec::with_capacity(if keep { devices.len() } else { 0 });
+    let mut spare = vec![0.0; if keep { 0 } else { dim }];
+    let mut losses = Vec::with_capacity(devices.len());
+    for d in devices {
+        let mut g = if keep { vec![0.0; dim] } else { std::mem::take(&mut spare) };
+        losses.push(model.full_loss_and_grad_in(w, &d.data, &mut g, &mut scratch));
+        add_weighted(d, total, &g, &mut gbar);
+        if keep {
+            grads.push(g);
+        } else {
+            spare = g;
+        }
+    }
+    FusedPass { loss: weighted_loss(devices, total, losses.into_iter()), gbar, grads }
 }
 
 #[cfg(test)]

@@ -7,7 +7,7 @@
 //! The layer sizes are configurable so tests and Criterion benches can run
 //! a scaled-down instance ([`CnnSpec::tiny`]) with identical code paths.
 
-use crate::{GradScratch, LossModel};
+use crate::{mean_in_batch_loss_order, GradScratch, LossModel};
 use fedprox_data::Dataset;
 use fedprox_tensor::activations::{
     cross_entropy_from_logits, cross_entropy_grad_from_logits, relu_backward_inplace,
@@ -20,7 +20,6 @@ use fedprox_tensor::conv::{
 use fedprox_tensor::{kernel, vecops};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use rayon::prelude::*;
 
 /// Static architecture description.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -116,15 +115,18 @@ pub struct Cnn {
     hidden: usize,
 }
 
-/// [`GradScratch`]-resident workspace: the per-model buffers plus the
-/// chunk accumulator, tagged with the spec they were sized for.
+/// [`GradScratch`]-resident workspace: the per-model buffers, the chunk
+/// accumulator and the fused pass's per-sample losses, tagged with the
+/// spec they were sized for.
 struct CnnWs {
     spec: CnnSpec,
     ws: Workspace,
     acc: Vec<f64>,
+    losses: Vec<f64>,
 }
 
-/// Reusable forward/backward buffers; one per worker thread in batch mode.
+/// Reusable forward/backward buffers. The first convolution's input
+/// gradient has no buffer: nothing upstream of the image reads it.
 struct Workspace {
     s1: ConvScratch,
     s2: ConvScratch,
@@ -145,7 +147,6 @@ struct Workspace {
     dconv2: Vec<f64>,
     dpool1: Vec<f64>,
     dconv1: Vec<f64>,
-    dinput: Vec<f64>,
 }
 
 impl Cnn {
@@ -223,7 +224,6 @@ impl Cnn {
             dconv2: vec![0.0; self.conv2.output_len()],
             dpool1: vec![0.0; self.pool1.output_len()],
             dconv1: vec![0.0; self.conv1.output_len()],
-            dinput: vec![0.0; self.conv1.input_len()],
         }
     }
 
@@ -351,7 +351,7 @@ impl Cnn {
                 w2,
                 dw2,
                 db2,
-                &mut ws.dpool1,
+                Some(&mut ws.dpool1),
                 &mut ws.s2,
             );
         }
@@ -363,16 +363,80 @@ impl Cnn {
             let w1 = &w[..self.w1_end()];
             let (dw1b1, _) = out.split_at_mut(self.b1_end());
             let (dw1, db1) = dw1b1.split_at_mut(self.conv1.weight_len());
-            conv2d_backward(
-                &self.conv1,
-                x,
-                &ws.dconv1,
-                w1,
-                dw1,
-                db1,
-                &mut ws.dinput,
-                &mut ws.s1,
-            );
+            conv2d_backward(&self.conv1, x, &ws.dconv1, w1, dw1, db1, None, &mut ws.s1);
+        }
+    }
+}
+
+impl Cnn {
+    /// Sample `i`'s cross-entropy from a forward pass through `ws`.
+    fn sample_loss_in(&self, w: &[f64], data: &Dataset, i: usize, ws: &mut Workspace) -> f64 {
+        self.forward(w, data.x(i), ws);
+        cross_entropy_from_logits(&ws.logits, data.class_of(i))
+    }
+
+    /// The predicted class of `x` from a forward pass through `ws`.
+    fn predict_in(&self, w: &[f64], x: &[f64], ws: &mut Workspace) -> f64 {
+        self.forward(w, x, ws);
+        let mut best = 0;
+        for (c, &v) in ws.logits.iter().enumerate() {
+            if v > ws.logits[best] {
+                best = c;
+            }
+        }
+        best as f64
+    }
+
+    /// The scratch-resident workspace, rebuilt when sized for another spec.
+    fn scratch_ws<'s>(&self, scratch: &'s mut GradScratch) -> &'s mut CnnWs {
+        let spec = self.spec;
+        let dim = self.dim();
+        scratch.model_ws::<CnnWs, _, _>(
+            || CnnWs { spec, ws: self.workspace(), acc: vec![0.0; dim], losses: Vec::new() },
+            |cws| cws.spec == spec,
+        )
+    }
+
+    /// The mean gradient over `indices` into `out` (overwritten): fixed
+    /// chunks of 8 accumulated in `acc` and combined in index order once
+    /// there are 4 or more samples. With `losses`, each sample's
+    /// cross-entropy is read off the forward pass's logits and pushed in
+    /// index order.
+    #[allow(clippy::too_many_arguments)]
+    fn grad_pass(
+        &self,
+        w: &[f64],
+        data: &Dataset,
+        indices: &[usize],
+        out: &mut [f64],
+        ws: &mut Workspace,
+        acc: &mut [f64],
+        mut losses: Option<&mut Vec<f64>>,
+    ) {
+        out.fill(0.0);
+        if indices.is_empty() {
+            return;
+        }
+        let scale = 1.0 / indices.len() as f64;
+        let mut sample = |i: usize, into: &mut [f64], ws: &mut Workspace| {
+            self.forward(w, data.x(i), ws);
+            if let Some(l) = losses.as_deref_mut() {
+                l.push(cross_entropy_from_logits(&ws.logits, data.class_of(i)));
+            }
+            self.backward(w, data.x(i), data.class_of(i), scale, into, ws);
+        };
+        if indices.len() >= 4 {
+            for chunk_idx in indices.chunks(8) {
+                acc.fill(0.0);
+                for &i in chunk_idx {
+                    sample(i, acc, ws);
+                }
+                vecops::add_assign(out, acc);
+            }
+        } else {
+            for &i in indices {
+                sample(i, out, ws);
+            }
         }
     }
 }
@@ -405,9 +469,7 @@ impl LossModel for Cnn {
     }
 
     fn sample_loss(&self, w: &[f64], data: &Dataset, i: usize) -> f64 {
-        let mut ws = self.workspace();
-        self.forward(w, data.x(i), &mut ws);
-        cross_entropy_from_logits(&ws.logits, data.class_of(i))
+        self.sample_loss_in(w, data, i, &mut self.workspace())
     }
 
     fn sample_grad_accum(&self, w: &[f64], data: &Dataset, i: usize, scale: f64, out: &mut [f64]) {
@@ -416,49 +478,26 @@ impl LossModel for Cnn {
         self.backward(w, data.x(i), data.class_of(i), scale, out, &mut ws);
     }
 
-    /// Batch gradient overridden to reuse one workspace per rayon worker
-    /// instead of allocating scratch per sample — the training hot path.
-    fn batch_grad(&self, w: &[f64], data: &Dataset, indices: &[usize], out: &mut [f64]) {
-        assert_eq!(out.len(), self.dim(), "batch_grad: out length");
-        out.fill(0.0);
-        if indices.is_empty() {
-            return;
-        }
-        let scale = 1.0 / indices.len() as f64;
-        if indices.len() >= 4 {
-            // Fixed chunks + ordered combination: keeps results independent
-            // of thread scheduling and machine core count (see
-            // LossModel::batch_loss docs).
-            let partials: Vec<Vec<f64>> = indices
-                .par_chunks(8)
-                .map(|chunk_idx| {
-                    let mut acc = vec![0.0; self.dim()];
-                    let mut ws = self.workspace();
-                    for &i in chunk_idx {
-                        self.forward(w, data.x(i), &mut ws);
-                        self.backward(w, data.x(i), data.class_of(i), scale, &mut acc, &mut ws);
-                    }
-                    acc
-                })
-                .collect();
-            for p in &partials {
-                vecops::add_assign(out, p);
-            }
-        } else {
-            let mut ws = self.workspace();
-            for &i in indices {
-                self.forward(w, data.x(i), &mut ws);
-                self.backward(w, data.x(i), data.class_of(i), scale, out, &mut ws);
-            }
-        }
+    /// Mean loss through one workspace for the whole batch instead of one
+    /// per sample, reduced in the default's order.
+    fn batch_loss(&self, w: &[f64], data: &Dataset, indices: &[usize]) -> f64 {
+        let mut ws = self.workspace();
+        let losses: Vec<f64> =
+            indices.iter().map(|&i| self.sample_loss_in(w, data, i, &mut ws)).collect();
+        mean_in_batch_loss_order(&losses)
     }
 
-    /// Like [`Self::batch_grad`], but holding the workspace and chunk
-    /// accumulator in `scratch` across calls: a local solve of τ steps
-    /// builds the (large) conv workspace once instead of once per chunk.
-    /// Bit-identical to `batch_grad` — the vendored rayon shim is
-    /// sequential, and even under real threading the fixed chunks are
-    /// combined in index order either way.
+    /// The allocating entry point: [`Self::batch_grad_in`] with a fresh
+    /// scratch.
+    fn batch_grad(&self, w: &[f64], data: &Dataset, indices: &[usize], out: &mut [f64]) {
+        self.batch_grad_in(w, data, indices, out, &mut GradScratch::new());
+    }
+
+    /// The training hot path: the workspace and chunk accumulator live in
+    /// `scratch` across calls, so a local solve of τ steps builds the
+    /// (large) conv workspace once. The fixed chunks are combined in
+    /// index order, so the result does not depend on the scratch's
+    /// history.
     fn batch_grad_in(
         &self,
         w: &[f64],
@@ -468,51 +507,47 @@ impl LossModel for Cnn {
         scratch: &mut GradScratch,
     ) {
         assert_eq!(out.len(), self.dim(), "batch_grad_in: out length");
-        let spec = self.spec;
-        let dim = self.dim();
-        let cws = scratch.model_ws::<CnnWs, _, _>(
-            || CnnWs { spec, ws: self.workspace(), acc: vec![0.0; dim] },
-            |cws| cws.spec == spec,
-        );
-        out.fill(0.0);
-        if indices.is_empty() {
-            return;
-        }
-        let scale = 1.0 / indices.len() as f64;
-        if indices.len() >= 4 {
-            for chunk_idx in indices.chunks(8) {
-                cws.acc.fill(0.0);
-                for &i in chunk_idx {
-                    self.forward(w, data.x(i), &mut cws.ws);
-                    self.backward(
-                        w,
-                        data.x(i),
-                        data.class_of(i),
-                        scale,
-                        &mut cws.acc,
-                        &mut cws.ws,
-                    );
-                }
-                vecops::add_assign(out, &cws.acc);
-            }
-        } else {
-            for &i in indices {
-                self.forward(w, data.x(i), &mut cws.ws);
-                self.backward(w, data.x(i), data.class_of(i), scale, out, &mut cws.ws);
-            }
-        }
+        let cws = self.scratch_ws(scratch);
+        self.grad_pass(w, data, indices, out, &mut cws.ws, &mut cws.acc, None);
+    }
+
+    /// One forward pass per sample serves both results: each sample's
+    /// cross-entropy is read off the logits the gradient pass computes.
+    fn full_loss_and_grad_in(
+        &self,
+        w: &[f64],
+        data: &Dataset,
+        out: &mut [f64],
+        scratch: &mut GradScratch,
+    ) -> f64 {
+        assert_eq!(out.len(), self.dim(), "full_loss_and_grad_in: out length");
+        let mut idx = std::mem::take(&mut scratch.all_indices);
+        idx.clear();
+        idx.extend(0..data.len());
+        let cws = self.scratch_ws(scratch);
+        let mut losses = std::mem::take(&mut cws.losses);
+        losses.clear();
+        self.grad_pass(w, data, &idx, out, &mut cws.ws, &mut cws.acc, Some(&mut losses));
+        let loss = mean_in_batch_loss_order(&losses);
+        cws.losses = losses;
+        scratch.all_indices = idx;
+        loss
     }
 
     fn predict(&self, w: &[f64], x: &[f64]) -> f64 {
-        let mut ws = self.workspace();
-        self.forward(w, x, &mut ws);
-        let mut best = 0;
-        for (c, &v) in ws.logits.iter().enumerate() {
-            if v > ws.logits[best] {
-                best = c;
-            }
+        self.predict_in(w, x, &mut self.workspace())
+    }
+
+    /// Accuracy through one workspace for the whole dataset instead of
+    /// one per sample.
+    fn accuracy(&self, w: &[f64], data: &Dataset) -> f64 {
+        if data.is_empty() {
+            return 0.0;
         }
-        best as f64
+        let mut ws = self.workspace();
+        let correct =
+            (0..data.len()).filter(|&i| self.predict_in(w, data.x(i), &mut ws) == data.y(i)).count();
+        correct as f64 / data.len() as f64
     }
 }
 
@@ -702,6 +737,85 @@ mod tests {
         let w = cnn.init_params(8);
         let l = cnn.full_loss(&w, &data);
         assert!((l - (spec.classes as f64).ln()).abs() < 1.0, "loss {l}");
+    }
+
+    /// The provided-method defaults over a CNN's per-sample entries, to
+    /// compare the CNN's overrides against.
+    struct Defaults<'a>(&'a Cnn);
+
+    impl LossModel for Defaults<'_> {
+        fn dim(&self) -> usize {
+            self.0.dim()
+        }
+        fn init_params(&self, seed: u64) -> Vec<f64> {
+            self.0.init_params(seed)
+        }
+        fn sample_loss(&self, w: &[f64], data: &Dataset, i: usize) -> f64 {
+            self.0.sample_loss(w, data, i)
+        }
+        fn sample_grad_accum(
+            &self,
+            w: &[f64],
+            data: &Dataset,
+            i: usize,
+            scale: f64,
+            out: &mut [f64],
+        ) {
+            self.0.sample_grad_accum(w, data, i, scale, out)
+        }
+        fn predict(&self, w: &[f64], x: &[f64]) -> f64 {
+            self.0.predict(w, x)
+        }
+    }
+
+    fn bits(v: &[f64]) -> Vec<u64> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    #[test]
+    fn fused_loss_and_grad_equals_separate_calls_bitwise() {
+        let spec = CnnSpec::tiny_hidden();
+        let cnn = Cnn::new(spec);
+        let w = cnn.init_params(5);
+        // One scratch across every size: its history must not leak in.
+        let mut scratch = GradScratch::new();
+        // Sizes cover the unchunked (< 4), 8-chunk gradient and 32-chunk
+        // loss reductions.
+        for n in [1, 3, 9, 40] {
+            let data = tiny_data(n, &spec, 21 + n as u64);
+            let mut fused = vec![f64::NAN; cnn.dim()];
+            let loss = cnn.full_loss_and_grad_in(&w, &data, &mut fused, &mut scratch);
+            let mut grad = vec![0.0; cnn.dim()];
+            cnn.full_grad_in(&w, &data, &mut grad, &mut GradScratch::new());
+            assert_eq!(loss.to_bits(), cnn.full_loss(&w, &data).to_bits(), "loss, n = {n}");
+            assert_eq!(bits(&fused), bits(&grad), "gradient, n = {n}");
+            let mut alloc = vec![0.0; cnn.dim()];
+            cnn.full_grad(&w, &data, &mut alloc);
+            assert_eq!(bits(&alloc), bits(&grad), "allocating gradient, n = {n}");
+        }
+    }
+
+    #[test]
+    fn forward_only_overrides_equal_the_defaults_bitwise() {
+        let spec = CnnSpec::tiny_hidden();
+        let cnn = Cnn::new(spec);
+        let w = cnn.init_params(6);
+        for n in [1, 9, 40, 70] {
+            let data = tiny_data(n, &spec, 40 + n as u64);
+            let plain = Defaults(&cnn);
+            let idx: Vec<usize> = (0..n).rev().collect();
+            assert_eq!(
+                cnn.batch_loss(&w, &data, &idx).to_bits(),
+                plain.batch_loss(&w, &data, &idx).to_bits(),
+                "batch_loss, n = {n}"
+            );
+            assert_eq!(
+                cnn.full_loss(&w, &data).to_bits(),
+                plain.full_loss(&w, &data).to_bits(),
+                "full_loss, n = {n}"
+            );
+            assert_eq!(cnn.accuracy(&w, &data), plain.accuracy(&w, &data), "accuracy, n = {n}");
+        }
     }
 
     #[test]

@@ -125,6 +125,24 @@ const BATCH_PAR_THRESHOLD: usize = 32;
 /// depend on thread scheduling).
 const BATCH_CHUNK: usize = 32;
 
+/// [`LossModel::batch_loss`]'s reduction of per-sample losses
+/// `losses[j] = f_{indices[j]}(w)` to their mean: fixed chunks of 32
+/// combined in order when there are at least 32, one running sum
+/// otherwise (0 for no samples). Overrides that collect the losses some
+/// other way (from a gradient pass, through one reused workspace) reduce
+/// them here, so their result stays bitwise the default's.
+pub fn mean_in_batch_loss_order(losses: &[f64]) -> f64 {
+    if losses.is_empty() {
+        return 0.0;
+    }
+    let sum: f64 = if losses.len() >= BATCH_PAR_THRESHOLD {
+        losses.chunks(BATCH_CHUNK).map(|chunk| chunk.iter().sum::<f64>()).sum()
+    } else {
+        losses.iter().sum()
+    };
+    sum / losses.len() as f64
+}
+
 /// A differentiable finite-sum loss `F_n(w) = (1/D_n) Σ_i f_i(w)` over a
 /// [`Dataset`], exposed per sample as Algorithm 1 requires.
 ///
@@ -149,27 +167,15 @@ pub trait LossModel: Send + Sync {
     /// classifiers, value for regressors.
     fn predict(&self, w: &[f64], x: &[f64]) -> f64;
 
-    /// Mean loss over the samples at `indices`.
-    ///
-    /// Parallel reductions use **fixed-size chunks combined in order**:
-    /// floating-point addition is not associative, and rayon's adaptive
-    /// `fold`/`reduce` splitting would make results depend on thread
-    /// scheduling. Deterministic chunking keeps the sequential, parallel,
-    /// and networked training backends bit-identical.
+    /// Mean loss over the samples at `indices`, reduced by
+    /// [`mean_in_batch_loss_order`] in **fixed-size chunks combined in
+    /// order**: floating-point addition is not associative, and rayon's
+    /// adaptive `fold`/`reduce` splitting would make results depend on
+    /// thread scheduling. Deterministic chunking keeps the sequential,
+    /// event-driven and networked training backends bit-identical.
     fn batch_loss(&self, w: &[f64], data: &Dataset, indices: &[usize]) -> f64 {
-        if indices.is_empty() {
-            return 0.0;
-        }
-        let sum: f64 = if indices.len() >= BATCH_PAR_THRESHOLD {
-            let partials: Vec<f64> = indices
-                .par_chunks(BATCH_CHUNK)
-                .map(|chunk| chunk.iter().map(|&i| self.sample_loss(w, data, i)).sum())
-                .collect();
-            partials.iter().sum()
-        } else {
-            indices.iter().map(|&i| self.sample_loss(w, data, i)).sum()
-        };
-        sum / indices.len() as f64
+        let losses: Vec<f64> = indices.iter().map(|&i| self.sample_loss(w, data, i)).collect();
+        mean_in_batch_loss_order(&losses)
     }
 
     /// Mean gradient over the samples at `indices`, written into `out`
@@ -250,6 +256,26 @@ pub trait LossModel: Send + Sync {
         scratch.all_indices = idx;
     }
 
+    /// [`Self::full_loss`] and [`Self::full_grad_in`] in one call: writes
+    /// the full gradient `∇F_n(w)` into `out` and returns `F_n(w)`, each
+    /// bitwise as those two methods compute it. The default runs them one
+    /// after the other. A model whose gradient pass already has every
+    /// sample's loss in hand (the CNN and the logistic model read it off
+    /// the forward pass's logits) overrides this to skip the second
+    /// forward pass; the loss must still be reduced in
+    /// [`Self::batch_loss`]'s order (see [`mean_in_batch_loss_order`]).
+    fn full_loss_and_grad_in(
+        &self,
+        w: &[f64],
+        data: &Dataset,
+        out: &mut [f64],
+        scratch: &mut GradScratch,
+    ) -> f64 {
+        let loss = self.full_loss(w, data);
+        self.full_grad_in(w, data, out, scratch);
+        loss
+    }
+
     /// Mean loss over the whole dataset: `F_n(w)`.
     fn full_loss(&self, w: &[f64], data: &Dataset) -> f64 {
         let idx: Vec<usize> = (0..data.len()).collect();
@@ -315,6 +341,18 @@ impl<M: LossModel + ?Sized> LossModel for Box<M> {
     fn full_grad_in(&self, w: &[f64], data: &Dataset, out: &mut [f64], scratch: &mut GradScratch) {
         (**self).full_grad_in(w, data, out, scratch)
     }
+    fn full_loss_and_grad_in(
+        &self,
+        w: &[f64],
+        data: &Dataset,
+        out: &mut [f64],
+        scratch: &mut GradScratch,
+    ) -> f64 {
+        (**self).full_loss_and_grad_in(w, data, out, scratch)
+    }
+    fn accuracy(&self, w: &[f64], data: &Dataset) -> f64 {
+        (**self).accuracy(w, data)
+    }
     fn predict(&self, w: &[f64], x: &[f64]) -> f64 {
         (**self).predict(w, x)
     }
@@ -332,6 +370,9 @@ impl<M: LossModel + ?Sized> LossModel for &M {
     fn sample_loss(&self, w: &[f64], data: &Dataset, i: usize) -> f64 {
         (**self).sample_loss(w, data, i)
     }
+    fn batch_loss(&self, w: &[f64], data: &Dataset, indices: &[usize]) -> f64 {
+        (**self).batch_loss(w, data, indices)
+    }
     fn sample_grad_accum(&self, w: &[f64], data: &Dataset, i: usize, scale: f64, out: &mut [f64]) {
         (**self).sample_grad_accum(w, data, i, scale, out)
     }
@@ -347,6 +388,18 @@ impl<M: LossModel + ?Sized> LossModel for &M {
     }
     fn full_grad_in(&self, w: &[f64], data: &Dataset, out: &mut [f64], scratch: &mut GradScratch) {
         (**self).full_grad_in(w, data, out, scratch)
+    }
+    fn full_loss_and_grad_in(
+        &self,
+        w: &[f64],
+        data: &Dataset,
+        out: &mut [f64],
+        scratch: &mut GradScratch,
+    ) -> f64 {
+        (**self).full_loss_and_grad_in(w, data, out, scratch)
+    }
+    fn accuracy(&self, w: &[f64], data: &Dataset) -> f64 {
+        (**self).accuracy(w, data)
     }
     fn predict(&self, w: &[f64], x: &[f64]) -> f64 {
         (**self).predict(w, x)

@@ -5,7 +5,7 @@
 //! flattened row-major as `[W; b]`. The per-sample loss is cross-entropy
 //! over the softmax of the logits, optionally with an L2 term.
 
-use crate::{GradScratch, LossModel};
+use crate::{mean_in_batch_loss_order, GradScratch, LossModel};
 use fedprox_data::Dataset;
 use fedprox_tensor::activations::{cross_entropy_from_logits, cross_entropy_grad_from_logits};
 use fedprox_tensor::{kernel, vecops};
@@ -113,6 +113,67 @@ struct LogisticWs {
     dlogits: Vec<f64>,
     /// Chunk accumulator for the fixed-chunk batch reduction.
     acc: Vec<f64>,
+    /// Per-sample losses of the fused loss-and-gradient pass.
+    losses: Vec<f64>,
+}
+
+impl MultinomialLogistic {
+    /// The scratch-resident workspace, rebuilt when sized for another
+    /// shape.
+    fn scratch_ws<'s>(&self, scratch: &'s mut GradScratch) -> &'s mut LogisticWs {
+        let (classes, dim) = (self.classes, self.dim());
+        scratch.model_ws::<LogisticWs, _, _>(
+            || LogisticWs {
+                logits: vec![0.0; classes],
+                dlogits: vec![0.0; classes],
+                acc: vec![0.0; dim],
+                losses: Vec::new(),
+            },
+            |ws| ws.logits.len() == classes && ws.acc.len() == dim,
+        )
+    }
+
+    /// The mean gradient over `indices` into `out` (overwritten), in
+    /// fixed chunks combined in order once there are enough samples.
+    /// With `losses`, each sample's loss is computed from the logits the
+    /// gradient step leaves in `ws.logits` and pushed in index order.
+    fn grad_pass(
+        &self,
+        w: &[f64],
+        data: &Dataset,
+        indices: &[usize],
+        out: &mut [f64],
+        ws: &mut LogisticWs,
+        mut losses: Option<&mut Vec<f64>>,
+    ) {
+        out.fill(0.0);
+        if indices.is_empty() {
+            return;
+        }
+        let scale = 1.0 / indices.len() as f64;
+        // `sample_loss`'s L2 term: the same value for every sample.
+        let reg = (self.l2 > 0.0).then(|| self.l2 / 2.0 * vecops::norm_sq(&w[..self.weights_len()]));
+        let mut sample = |i: usize, into: &mut [f64], logits: &mut [f64], dlogits: &mut [f64]| {
+            self.grad_into(w, data.x(i), data.class_of(i), scale, into, logits, dlogits);
+            if let Some(l) = losses.as_deref_mut() {
+                let ce = cross_entropy_from_logits(logits, data.class_of(i));
+                l.push(reg.map_or(ce, |r| ce + r));
+            }
+        };
+        if indices.len() >= crate::BATCH_PAR_THRESHOLD {
+            for chunk in indices.chunks(crate::BATCH_CHUNK) {
+                ws.acc.fill(0.0);
+                for &i in chunk {
+                    sample(i, &mut ws.acc, &mut ws.logits, &mut ws.dlogits);
+                }
+                vecops::add_assign(out, &ws.acc);
+            }
+        } else {
+            for &i in indices {
+                sample(i, out, &mut ws.logits, &mut ws.dlogits);
+            }
+        }
+    }
 }
 
 impl LossModel for MultinomialLogistic {
@@ -155,49 +216,30 @@ impl LossModel for MultinomialLogistic {
         scratch: &mut GradScratch,
     ) {
         assert_eq!(out.len(), self.dim(), "batch_grad_in: out length");
-        let (classes, dim) = (self.classes, self.dim());
-        let ws = scratch.model_ws::<LogisticWs, _, _>(
-            || LogisticWs {
-                logits: vec![0.0; classes],
-                dlogits: vec![0.0; classes],
-                acc: vec![0.0; dim],
-            },
-            |ws| ws.logits.len() == classes && ws.acc.len() == dim,
-        );
-        out.fill(0.0);
-        if indices.is_empty() {
-            return;
-        }
-        let scale = 1.0 / indices.len() as f64;
-        if indices.len() >= crate::BATCH_PAR_THRESHOLD {
-            for chunk in indices.chunks(crate::BATCH_CHUNK) {
-                ws.acc.fill(0.0);
-                for &i in chunk {
-                    self.grad_into(
-                        w,
-                        data.x(i),
-                        data.class_of(i),
-                        scale,
-                        &mut ws.acc,
-                        &mut ws.logits,
-                        &mut ws.dlogits,
-                    );
-                }
-                vecops::add_assign(out, &ws.acc);
-            }
-        } else {
-            for &i in indices {
-                self.grad_into(
-                    w,
-                    data.x(i),
-                    data.class_of(i),
-                    scale,
-                    out,
-                    &mut ws.logits,
-                    &mut ws.dlogits,
-                );
-            }
-        }
+        let ws = self.scratch_ws(scratch);
+        self.grad_pass(w, data, indices, out, ws, None);
+    }
+
+    /// One logits evaluation per sample serves both results.
+    fn full_loss_and_grad_in(
+        &self,
+        w: &[f64],
+        data: &Dataset,
+        out: &mut [f64],
+        scratch: &mut GradScratch,
+    ) -> f64 {
+        assert_eq!(out.len(), self.dim(), "full_loss_and_grad_in: out length");
+        let mut idx = std::mem::take(&mut scratch.all_indices);
+        idx.clear();
+        idx.extend(0..data.len());
+        let ws = self.scratch_ws(scratch);
+        let mut losses = std::mem::take(&mut ws.losses);
+        losses.clear();
+        self.grad_pass(w, data, &idx, out, ws, Some(&mut losses));
+        let loss = mean_in_batch_loss_order(&losses);
+        ws.losses = losses;
+        scratch.all_indices = idx;
+        loss
     }
 
     fn predict(&self, w: &[f64], x: &[f64]) -> f64 {
@@ -241,6 +283,27 @@ mod tests {
             let model = MultinomialLogistic::new(2, 3).with_l2(l2);
             let w = model.init_params(7);
             assert_grad_ok(&model, &w, &d, &[0, 1, 2, 5, 10], 1e-4);
+        }
+    }
+
+    #[test]
+    fn fused_loss_and_grad_equals_separate_calls_bitwise() {
+        let small = clusters();
+        // 30 samples take the unchunked reductions, 60 the chunked ones.
+        let big = Dataset::concat(&[&small, &small]);
+        for l2 in [0.0, 0.1] {
+            let model = MultinomialLogistic::new(2, 3).with_l2(l2);
+            let w = model.init_params(3);
+            let mut scratch = GradScratch::new();
+            for data in [&small, &big] {
+                let mut fused = vec![f64::NAN; model.dim()];
+                let loss = model.full_loss_and_grad_in(&w, data, &mut fused, &mut scratch);
+                let mut grad = vec![0.0; model.dim()];
+                model.full_grad(&w, data, &mut grad);
+                assert_eq!(loss.to_bits(), model.full_loss(&w, data).to_bits(), "l2 {l2}");
+                let same = fused.iter().zip(&grad).all(|(a, b)| a.to_bits() == b.to_bits());
+                assert!(same, "l2 {l2}, n {}: fused gradient differs", data.len());
+            }
         }
     }
 

@@ -414,7 +414,7 @@ pub fn build_suite() -> Vec<Bench> {
                 gw.fill(0.0);
                 gb.fill(0.0);
                 conv2d_backward(
-                    &spec, &input, &grad_out, &weight, &mut gw, &mut gb, &mut gi, &mut scratch,
+                    &spec, &input, &grad_out, &weight, &mut gw, &mut gb, Some(&mut gi), &mut scratch,
                 );
                 black_box(&gi[..]);
             }),

@@ -523,9 +523,12 @@ pub fn conv2d_forward_alloc(
 
 /// Backward convolution. Given the forward `input` and `grad_output`
 /// (`[out_ch, oh, ow]`), accumulates `grad_weight` / `grad_bias` (+=)
-/// and writes `grad_input` (overwrite). Self-contained: the pass
-/// re-derives every receptive-field tap from `input`, so it does not
-/// depend on which kernel (if any) ran the forward pass.
+/// and, when `grad_input` is `Some`, writes it (overwrite). `None` skips
+/// the column-gradient GEMM and the col2im scatter — a network's first
+/// layer has no use for the gradient of its input — and leaves
+/// `grad_weight` / `grad_bias` bitwise as `Some` would. Self-contained:
+/// the pass re-derives every receptive-field tap from `input`, so it does
+/// not depend on which kernel (if any) ran the forward pass.
 #[allow(clippy::too_many_arguments)]
 pub fn conv2d_backward(
     spec: &Conv2dSpec,
@@ -534,7 +537,7 @@ pub fn conv2d_backward(
     weight: &[f64],
     grad_weight: &mut [f64],
     grad_bias: &mut [f64],
-    grad_input: &mut [f64],
+    grad_input: Option<&mut [f64]>,
     scratch: &mut ConvScratch,
 ) {
     let npix = spec.col_rows();
@@ -546,7 +549,9 @@ pub fn conv2d_backward(
     assert_eq!(grad_output.len(), spec.output_len(), "conv2d_backward: grad_output");
     assert_eq!(grad_weight.len(), spec.weight_len(), "conv2d_backward: grad_weight");
     assert_eq!(grad_bias.len(), spec.out_ch, "conv2d_backward: grad_bias");
-    assert_eq!(grad_input.len(), spec.input_len(), "conv2d_backward: grad_input");
+    if let Some(gi) = &grad_input {
+        assert_eq!(gi.len(), spec.input_len(), "conv2d_backward: grad_input");
+    }
 
     // grad_bias[o] += Σ_p grad_output[o, p] — kernel-independent, so the
     // accumulation tree is shared by every path.
@@ -573,6 +578,9 @@ pub fn conv2d_backward(
                 npix,
                 true,
             );
+            let Some(grad_input) = grad_input else {
+                return;
+            };
             // cols_grad[p, f] = Σ_o grad_output[o, p] * weight[o, f]
             scratch.cols_grad.reshape_in_place(npix, fields);
             let got = MatRef::transposed(grad_output, npix, spec.out_ch);
@@ -606,6 +614,9 @@ pub fn conv2d_backward(
                     k == Kernel::TiledParallel,
                 );
             }
+            let Some(grad_input) = grad_input else {
+                return;
+            };
             // grad_input = col2im(goᵀ · W): the column gradient runs
             // through the tiled GEMM — bitwise equal to the reference
             // gemm by the kernel contract — and the scatter replays the
@@ -912,7 +923,7 @@ mod tests {
         let mut gb = vec![0.0; spec.out_ch];
         let mut gi = vec![0.0; spec.input_len()];
         conv2d_backward(
-            &spec, &input, &grad_output, &weight, &mut gw, &mut gb, &mut gi, &mut scratch,
+            &spec, &input, &grad_output, &weight, &mut gw, &mut gb, Some(&mut gi), &mut scratch,
         );
 
         let h = 1e-6;

@@ -207,7 +207,14 @@ fn conv_backward_matches_reference_bitwise_across_spec_sweep() {
                 let mut gi = vec![0.0; spec.input_len()];
                 let mut scratch = ConvScratch::new(spec);
                 conv2d_backward(
-                    spec, &input, &grad_output, &weight, &mut gw, &mut gb, &mut gi, &mut scratch,
+                    spec,
+                    &input,
+                    &grad_output,
+                    &weight,
+                    &mut gw,
+                    &mut gb,
+                    Some(&mut gi),
+                    &mut scratch,
                 );
                 (gw, gb, gi)
             })
@@ -222,6 +229,46 @@ fn conv_backward_matches_reference_bitwise_across_spec_sweep() {
         assert_bits_eq(&p_gw, &t_gw, &format!("conv bwd gw par {spec:?}"));
         assert_bits_eq(&p_gb, &t_gb, &format!("conv bwd gb par {spec:?}"));
         assert_bits_eq(&p_gi, &t_gi, &format!("conv bwd gi par {spec:?}"));
+    }
+}
+
+/// Skipping the input gradient (`grad_input: None`, what a network's
+/// first layer passes) must leave the weight and bias gradients bitwise
+/// as the full pass computes them, under every kernel.
+#[test]
+fn conv_backward_without_input_grad_keeps_weight_grads_bitwise() {
+    let _g = lock();
+    for (si, spec) in conv_specs().iter().enumerate() {
+        let seed = 0x0DD5 + si as u64;
+        let input = stream(seed, spec.input_len());
+        let weight = stream(seed ^ 0x3, spec.weight_len());
+        let grad_output = stream(seed ^ 0x4, spec.output_len());
+        for kern in [Kernel::Reference, Kernel::Tiled, Kernel::TiledParallel] {
+            let run = |with_input: bool| {
+                with_kernel(kern, || {
+                    let mut gw = stream(seed ^ 0x5, spec.weight_len());
+                    let mut gb = stream(seed ^ 0x6, spec.out_ch);
+                    let mut gi = vec![0.0; spec.input_len()];
+                    let mut scratch = ConvScratch::new(spec);
+                    conv2d_backward(
+                        spec,
+                        &input,
+                        &grad_output,
+                        &weight,
+                        &mut gw,
+                        &mut gb,
+                        with_input.then_some(&mut gi[..]),
+                        &mut scratch,
+                    );
+                    (gw, gb)
+                })
+            };
+            let (full_gw, full_gb) = run(true);
+            let (skip_gw, skip_gb) = run(false);
+            let ctx = format!("conv bwd without gi {kern:?} {spec:?}");
+            assert_bits_eq(&skip_gw, &full_gw, &format!("gw: {ctx}"));
+            assert_bits_eq(&skip_gb, &full_gb, &format!("gb: {ctx}"));
+        }
     }
 }
 

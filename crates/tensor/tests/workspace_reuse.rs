@@ -89,7 +89,7 @@ fn backward_with_reused_scratch_is_bitwise_identical_to_fresh_scratch() {
                 let mut gb = vec![0.0; spec.out_ch];
                 let mut gi = vec![0.0; spec.input_len()];
                 conv2d_backward(
-                    spec, &input, &grad_output, &weight, &mut gw, &mut gb, &mut gi, scratch,
+                    spec, &input, &grad_output, &weight, &mut gw, &mut gb, Some(&mut gi), scratch,
                 );
                 (output, gw, gb, gi)
             };
