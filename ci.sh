@@ -83,6 +83,17 @@ cargo build -q --release -p fedprox-perfbench
 ./target/release/fedperf --validate "$PERF_TMP/BENCH_smoke-a.json" "$PERF_TMP/BENCH_smoke-b.json"
 ./target/release/fedperf --check-determinism \
     "$PERF_TMP/BENCH_smoke-a.json" "$PERF_TMP/BENCH_smoke-b.json"
+# Allocation gate (counted, so deterministic; no timing): the batched
+# logistic gradients run through one reused scratch and must allocate
+# nothing in steady state.
+python3 - "$PERF_TMP/BENCH_smoke-a.json" <<'PY'
+import json, sys
+entries = {e["id"]: e for e in json.load(open(sys.argv[1]))["entries"]}
+for bench in ("logistic_grad/784x10-b4", "logistic_grad/784x10-b32"):
+    allocs = entries.get(bench, {}).get("allocs_per_iter")
+    if allocs != 0:
+        sys.exit(f"perf-smoke: {bench} allocs_per_iter = {allocs}, want 0")
+PY
 
 # kernel-diff: bitwise + speed gate over the tiled kernel rewrite. The
 # cpu_reference differential suite proves tiled == naive bitwise (and

@@ -3,7 +3,7 @@
 
 use crate::config::{FedConfig, NetRunnerOptions, RunnerKind};
 use crate::device::Device;
-use crate::engine::{validate_devices, Recorder, RoundEngine};
+use crate::engine::{validate_devices, HandOff, Recorder, RoundEngine};
 use crate::error::FedError;
 use crate::metrics::History;
 use crate::server;
@@ -143,8 +143,8 @@ impl<'a, M: LossModel> FederatedTrainer<'a, M> {
         // networked monitor carries zero direction statistics and gets
         // its straggler skew backfilled from the clock afterwards. The
         // actor workers compute their own anchors: nothing is handed off.
-        let mut recorder =
-            Recorder::new(self.model, Some(self.devices), Some(self.test), &self.cfg, &w0, false);
+        let (devices, test, cfg) = (Some(self.devices), Some(self.test), &self.cfg);
+        let mut recorder = Recorder::new(self.model, devices, test, cfg, &w0, HandOff::Nothing);
         // The runtime's own resilience option wins when both are set;
         // otherwise the trainer-level policy is handed down.
         let mut net_opts = opts.net.clone();

@@ -36,9 +36,13 @@
 //! are done; any other round recomputes. The reused anchor is guarded
 //! and counted as computed (`grad_evals`, eq. (19) timing and the
 //! telemetry counters are unchanged) — a real device computes its own,
-//! so the saving is the simulator's only. Armed telemetry runs compute
-//! every anchor inside its solve, so the profile charges each counted
-//! gradient to the solve that counts it.
+//! so the saving is the simulator's only. FSVRG's server gradient is the
+//! same evaluation's `∇F̄(w̄^{(s)})`, bitwise `eval::global_grad` at that
+//! model: the recorder keeps it, tagged `s`, and round `s+1` distributes
+//! it instead of recomputing it, still counting the `N` full passes.
+//! Armed telemetry runs hand nothing over: they compute every anchor
+//! inside its solve, so the profile charges each counted gradient to the
+//! solve that counts it, and FSVRG's gradient in its round.
 
 use crate::algorithm::Algorithm;
 use crate::config::{FedConfig, RunnerKind, SamplerSpec, SimRunnerOptions};
@@ -208,10 +212,14 @@ impl<'a, M: LossModel> RoundEngine<'a, M> {
         // (sampled rounds are the story a million-device run tells).
         let record_participation = resil.is_some() || compact;
 
-        // Evaluations hand their per-device gradients to the next round's
-        // solves where those would compute exactly them (module docs).
-        let hand_off = matches!(cfg.algorithm, Algorithm::FedProxVr(kind) if kind.needs_anchor())
-            && !collector_armed();
+        // Evaluations hand their gradients to the next round where it
+        // would compute exactly them (module docs).
+        let hand_off = match cfg.algorithm {
+            _ if collector_armed() => HandOff::Nothing,
+            Algorithm::FedProxVr(kind) if kind.needs_anchor() => HandOff::Anchors,
+            Algorithm::Fsvrg => HandOff::GlobalGrad,
+            _ => HandOff::Nothing,
+        };
         let mut recorder = Recorder::new(self.model, devices, self.test, cfg, &w0, hand_off);
         let mut global = w0;
         let mut agg = vec![0.0; dim];
@@ -222,9 +230,10 @@ impl<'a, M: LossModel> RoundEngine<'a, M> {
 
         for s in 1..=cfg.rounds {
             fedprox_telemetry::span!("core", "round", "s" => s);
-            // ∇F_n(w̄^{(s−1)}) from the evaluation that ended round s−1,
-            // when it kept them.
+            // ∇F_n(w̄^{(s−1)}) or ∇F̄(w̄^{(s−1)}) from the evaluation that
+            // ended round s−1, when it kept them.
             let mut anchors = recorder.take_anchors(s - 1);
+            let mut kept_global_grad = recorder.take_global_grad(s - 1);
             let sampled = sampler.sample(n, s, cfg.seed, |d| self.population.size_of(d));
 
             // Fault filtering on the sampled set, addressed by stable
@@ -290,8 +299,11 @@ impl<'a, M: LossModel> RoundEngine<'a, M> {
             // over the whole materialized population).
             let global_grad = match (cfg.algorithm.needs_global_gradient(), devices) {
                 (true, Some(devs)) => {
-                    let mut g = vec![0.0; dim];
-                    eval::global_grad(self.model, devs, &global, &mut g);
+                    let g = kept_global_grad.take().unwrap_or_else(|| {
+                        let mut g = vec![0.0; dim];
+                        eval::global_grad(self.model, devs, &global, &mut g);
+                        g
+                    });
                     // Every device spent a full local gradient pass for it.
                     for d in devs {
                         total_grad_evals.add(d.samples() as u64);
@@ -494,6 +506,18 @@ pub(crate) fn validate_devices(devices: &[Device]) -> Result<(), FedError> {
     Ok(())
 }
 
+/// What an evaluation at `w̄^{(s)}` keeps for round `s+1` (module docs).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum HandOff {
+    /// Nothing: every round computes its own gradients.
+    Nothing,
+    /// Each device's `∇F_n(w̄^{(s)})`, as its variance-reduced solve's
+    /// anchor.
+    Anchors,
+    /// `∇F̄(w̄^{(s)})`, as FSVRG's server gradient.
+    GlobalGrad,
+}
+
 /// The evaluation side of a run, shared by every backend: the
 /// `History` records, the divergence verdict, and (armed telemetry
 /// only) the health monitor and the flight-recorder triggers.
@@ -504,12 +528,13 @@ pub(crate) struct Recorder<'a, M: LossModel> {
     cfg: &'a FedConfig,
     records: Vec<RoundRecord>,
     divergence: DivergenceCause,
-    /// Whether evaluations keep their per-device gradients as the next
-    /// round's anchors.
-    hand_off: bool,
+    /// What evaluations keep for the next round.
+    hand_off: HandOff,
     /// `(s, [∇F_n(w̄^{(s)})])` from the evaluation of round `s`, each
     /// taken at most once.
     anchors: Option<(usize, Vec<Option<Vec<f64>>>)>,
+    /// `(s, ∇F̄(w̄^{(s)}))` from the evaluation of round `s`.
+    global_grad: Option<(usize, Vec<f64>)>,
     #[cfg(feature = "telemetry")]
     monitor: Option<crate::health::HealthMonitor>,
 }
@@ -531,16 +556,16 @@ impl<'a, M: LossModel> Recorder<'a, M> {
     /// Evaluate round 0 — the initial global model, so every curve
     /// starts from the same baseline (and divergence is visible as an
     /// *increase*) — and arm the health monitor. Rounds are evaluated
-    /// only when both `devices` and `test` are present; with `hand_off`,
-    /// each evaluation keeps its per-device gradients for
-    /// [`Self::take_anchors`].
+    /// only when both `devices` and `test` are present; `hand_off` says
+    /// what each evaluation keeps for [`Self::take_anchors`] or
+    /// [`Self::take_global_grad`].
     pub(crate) fn new(
         model: &'a M,
         devices: Option<&'a [Device]>,
         test: Option<&'a Dataset>,
         cfg: &'a FedConfig,
         w0: &[f64],
-        hand_off: bool,
+        hand_off: HandOff,
     ) -> Self {
         let mut r = Recorder {
             model,
@@ -551,13 +576,15 @@ impl<'a, M: LossModel> Recorder<'a, M> {
             divergence: DivergenceCause::None,
             hand_off,
             anchors: None,
+            global_grad: None,
             #[cfg(feature = "telemetry")]
             monitor: None,
         };
         // An armed run's σ̄² is a statistic of these same round-0
         // gradients, so they are kept for it too.
         let armed = collector_armed();
-        let pass = r.evaluate(0, w0, None, 0, 0.0, 0, hand_off || armed).map(|(rec, pass)| {
+        let keep = hand_off == HandOff::Anchors || armed;
+        let pass = r.evaluate(0, w0, None, 0, 0.0, 0, keep).map(|(rec, pass)| {
             r.records.push(rec);
             pass
         });
@@ -580,7 +607,7 @@ impl<'a, M: LossModel> Recorder<'a, M> {
             }
         }
         if let Some(p) = pass {
-            r.keep_anchors(0, p.grads);
+            r.keep(0, p);
         }
         r
     }
@@ -616,11 +643,15 @@ impl<'a, M: LossModel> Recorder<'a, M> {
         Some((rec, pass))
     }
 
-    /// Keep round `s`'s per-device gradients as round `s+1`'s anchors
-    /// (only when handing off; an empty set keeps nothing).
-    fn keep_anchors(&mut self, s: usize, grads: Vec<Vec<f64>>) {
-        if self.hand_off && !grads.is_empty() {
-            self.anchors = Some((s, grads.into_iter().map(Some).collect()));
+    /// Keep what `hand_off` names from round `s`'s evaluation for round
+    /// `s+1` (an empty gradient set keeps nothing).
+    fn keep(&mut self, s: usize, pass: eval::FusedPass) {
+        match self.hand_off {
+            HandOff::Anchors if !pass.grads.is_empty() => {
+                self.anchors = Some((s, pass.grads.into_iter().map(Some).collect()));
+            }
+            HandOff::GlobalGrad => self.global_grad = Some((s, pass.gbar)),
+            _ => {}
         }
     }
 
@@ -628,6 +659,12 @@ impl<'a, M: LossModel> Recorder<'a, M> {
     /// by device id. Anything older is dropped.
     pub(crate) fn take_anchors(&mut self, s: usize) -> Option<Vec<Option<Vec<f64>>>> {
         self.anchors.take().filter(|&(round, _)| round == s).map(|(_, grads)| grads)
+    }
+
+    /// `∇F̄(w̄^{(s)})` when the evaluation of round `s` kept it. Anything
+    /// older is dropped.
+    pub(crate) fn take_global_grad(&mut self, s: usize) -> Option<Vec<f64>> {
+        self.global_grad.take().filter(|&(round, _)| round == s).map(|(_, g)| g)
     }
 
     /// Evaluate round `s` when it falls on the eval cadence: record it,
@@ -646,13 +683,16 @@ impl<'a, M: LossModel> Recorder<'a, M> {
             return false;
         }
         // The final round's gradients would feed no round.
-        let keep = self.hand_off && s < self.cfg.rounds;
+        let feeds = s < self.cfg.rounds;
+        let keep = self.hand_off == HandOff::Anchors && feeds;
         let Some((rec, pass)) =
             self.evaluate(s, global, theta, grad_evals, sim_time, bytes, keep)
         else {
             return false;
         };
-        self.keep_anchors(s, pass.grads);
+        if feeds {
+            self.keep(s, pass);
+        }
         let bad = !rec.train_loss.is_finite() || rec.train_loss > self.cfg.loss_guard;
         #[cfg(feature = "telemetry")]
         if let Some(m) = self.monitor.as_mut() {

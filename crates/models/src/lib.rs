@@ -376,6 +376,9 @@ impl<M: LossModel + ?Sized> LossModel for &M {
     fn sample_grad_accum(&self, w: &[f64], data: &Dataset, i: usize, scale: f64, out: &mut [f64]) {
         (**self).sample_grad_accum(w, data, i, scale, out)
     }
+    fn batch_grad(&self, w: &[f64], data: &Dataset, indices: &[usize], out: &mut [f64]) {
+        (**self).batch_grad(w, data, indices, out)
+    }
     fn batch_grad_in(
         &self,
         w: &[f64],

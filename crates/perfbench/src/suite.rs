@@ -14,7 +14,7 @@ use fedprox_core::server::{aggregate, weights_from_sizes};
 use fedprox_core::device::Device;
 use fedprox_data::synthetic::{generate, SyntheticConfig};
 use fedprox_data::Dataset;
-use fedprox_models::{Cnn, CnnSpec, LossModel, Mlp, MultinomialLogistic};
+use fedprox_models::{Cnn, CnnSpec, GradScratch, LossModel, Mlp, MultinomialLogistic};
 use fedprox_optim::estimator::{Estimator, EstimatorKind};
 use fedprox_optim::prox::{L1Prox, Proximal, QuadraticProx};
 use fedprox_optim::solver::{IterateChoice, LocalSolver, LocalSolverConfig};
@@ -475,6 +475,29 @@ pub fn build_suite() -> Vec<Bench> {
         benches.push(prox_bench("prox_quad", "8192", Box::new(QuadraticProx::new(0.3, anchor))));
     }
     benches.push(prox_bench("prox_l1", "8192", Box::new(L1Prox::new(0.02))));
+
+    // Minibatch gradients of the paper's convex model (784 features, 10
+    // classes) through one reused scratch: the fig2 batch (4) and a full
+    // 32-sample chunk. Steady state allocates nothing (ci.sh gates it).
+    for (shape, b) in [("784x10-b4", 4usize), ("784x10-b32", 32)] {
+        let model = MultinomialLogistic::new(784, 10);
+        let data = image_data(96, 784, 10, 0x10C1);
+        let w = model.init_params(9);
+        let batch: Vec<usize> = (0..b).map(|i| (i * 37) % 96).collect();
+        let mut out = vec![0.0; model.dim()];
+        let mut scratch = GradScratch::new();
+        benches.push(Bench::new(
+            "logistic_grad",
+            shape,
+            "micro",
+            Timing::new(5, 200, 5),
+            Timing::new(2, 10, 3),
+            Box::new(move || {
+                model.batch_grad_in(&w, &data, &batch, &mut out, &mut scratch);
+                black_box(&out[..]);
+            }),
+        ));
+    }
 
     // A whole local solve: anchor full gradient + tau proximal VR steps.
     {

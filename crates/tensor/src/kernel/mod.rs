@@ -1,8 +1,8 @@
 //! Kernel layer: a runtime-selectable dispatch over the scalar
 //! cpu-reference kernels and the cache-blocked tiled kernels.
 //!
-//! Every matmul / matvec / conv call site in the workspace routes
-//! through this module's entry points, which check shapes (returning
+//! Every matmul / matvec / gathered-minibatch / conv call site in the
+//! workspace routes through this module's entry points, which check shapes (returning
 //! [`ShapeError`] through the `try_*` variants), open the telemetry
 //! span, dispatch on the active [`Kernel`], and run the numeric guard
 //! on the output. The three kernels are **bitwise interchangeable** —
@@ -198,6 +198,104 @@ pub fn try_matvec_t_into(
     }
     crate::guard::check_finite("matvec_t", out);
     Ok(())
+}
+
+/// Whether every picked row of a row-major `x` with row length `k`
+/// exists.
+fn rows_in_bounds(x: &[f64], k: usize, rows: &[usize]) -> bool {
+    let end = |r: usize| r.checked_add(1).and_then(|e| e.checked_mul(k));
+    rows.iter().all(|&r| end(r).is_some_and(|e| e <= x.len()))
+}
+
+/// Gathered matvec `out[i, r] = Σ_j a[r, j] · x[rows[i], j]` for a flat
+/// row-major `m × k` weight slice and the rows of the row-major `x`
+/// (row length `k`) picked by `rows`, read in place; `out` is
+/// `rows.len() × m`. Bitwise one [`try_matvec_into`] per picked row
+/// under every kernel; `panel` is the tiled kernel's packing scratch
+/// (grown once, then reused). [`ShapeError`] when `a` disagrees with
+/// `(m, k)` or a picked row lies outside `x`.
+pub fn try_gather_matvec_into(
+    a: &[f64],
+    m: usize,
+    k: usize,
+    x: &[f64],
+    rows: &[usize],
+    out: &mut [f64],
+    panel: &mut Vec<f64>,
+) -> TensorResult<()> {
+    if a.len() != m * k || !rows_in_bounds(x, k, rows) {
+        return Err(ShapeError { op: "gather_matvec", lhs: (m, k), rhs: (x.len(), rows.len()) });
+    }
+    assert_eq!(out.len(), rows.len() * m, "gather_matvec: out length mismatch");
+    fedprox_telemetry::span!("tensor", "gather_matvec", "m" => m, "k" => k, "n" => rows.len());
+    match active() {
+        Kernel::Reference => reference::gather_matvec_ref(a, m, k, x, rows, out),
+        Kernel::Tiled | Kernel::TiledParallel => tiled::gather_matvec(a, m, k, x, rows, out, panel),
+    }
+    crate::guard::check_finite("gather_matvec", out);
+    Ok(())
+}
+
+/// Gathered rank-`B` product into the flat row-major `m × k` matrix `d`
+/// (overwritten): starting from zero, for each picked row `i` of `x` in
+/// order, `d[r, :] += g[i, r] · x[rows[i], :]` for every `r` with
+/// `g[i, r] ≠ 0`, then `d += alpha · a` when `decay = Some((alpha, a))`
+/// (an L2 term's per-sample share). Bitwise those per-row axpys into a
+/// zeroed `d` under every kernel; the tiled kernel stores each block of
+/// `d` once per call. [`ShapeError`] when `d`, `g` or `decay` disagree
+/// with `(m, k)` and `rows`, or a picked row lies outside `x`.
+pub fn try_gather_rank_update(
+    d: &mut [f64],
+    m: usize,
+    k: usize,
+    x: &[f64],
+    rows: &[usize],
+    g: &[f64],
+    decay: Option<(f64, &[f64])>,
+) -> TensorResult<()> {
+    let decay_ok = decay.is_none_or(|(_, a)| a.len() == m * k);
+    if d.len() != m * k || g.len() != rows.len() * m || !decay_ok || !rows_in_bounds(x, k, rows) {
+        let rhs = (x.len(), rows.len());
+        return Err(ShapeError { op: "gather_rank_update", lhs: (m, k), rhs });
+    }
+    fedprox_telemetry::span!("tensor", "gather_rank_update", "m" => m, "k" => k, "n" => rows.len());
+    match active() {
+        Kernel::Reference => reference::gather_rank_update_ref(d, m, k, x, rows, g, decay),
+        Kernel::Tiled | Kernel::TiledParallel => {
+            tiled::gather_rank_update(d, m, k, x, rows, g, decay)
+        }
+    }
+    Ok(())
+}
+
+/// Infallible wrapper over [`try_gather_matvec_into`] for call sites
+/// whose shapes are statically correct (model forward passes).
+pub fn gather_matvec_into(
+    a: &[f64],
+    m: usize,
+    k: usize,
+    x: &[f64],
+    rows: &[usize],
+    out: &mut [f64],
+    panel: &mut Vec<f64>,
+) {
+    let r = try_gather_matvec_into(a, m, k, x, rows, out, panel);
+    assert!(r.is_ok(), "gather_matvec shape mismatch: {r:?}");
+}
+
+/// Infallible wrapper over [`try_gather_rank_update`] for call sites
+/// whose shapes are statically correct (model backward passes).
+pub fn gather_rank_update(
+    d: &mut [f64],
+    m: usize,
+    k: usize,
+    x: &[f64],
+    rows: &[usize],
+    g: &[f64],
+    decay: Option<(f64, &[f64])>,
+) {
+    let r = try_gather_rank_update(d, m, k, x, rows, g, decay);
+    assert!(r.is_ok(), "gather_rank_update shape mismatch: {r:?}");
 }
 
 /// Infallible wrapper over [`try_matvec_into`] for call sites whose

@@ -75,6 +75,59 @@ pub fn matvec_t_ref(a: &[f64], m: usize, k: usize, x: &[f64], out: &mut [f64]) {
     }
 }
 
+/// Naive gathered matvec: `out[i, r] = Σ_j a[r, j] · x[rows[i], j]`
+/// for the rows of the row-major `x` (row length `k`) picked by `rows`
+/// — one [`matvec_ref`] per picked row, in order.
+pub fn gather_matvec_ref(
+    a: &[f64],
+    m: usize,
+    k: usize,
+    x: &[f64],
+    rows: &[usize],
+    out: &mut [f64],
+) {
+    debug_assert_eq!(out.len(), rows.len() * m);
+    for (&row, o) in rows.iter().zip(out.chunks_exact_mut(m.max(1))) {
+        matvec_ref(a, m, k, &x[row * k..(row + 1) * k], o);
+    }
+}
+
+/// Naive gathered rank-`B` product into the row-major `m × k` matrix
+/// `d`: zero it, then for each picked row `i` in order, `d[r, :] +=
+/// g[i, r] · x[rows[i], :]` for every `r` whose coefficient is
+/// non-zero, then, with `decay = Some((alpha, a))`, `d += alpha · a`
+/// over the whole matrix. These are exactly the axpys a per-sample loop
+/// would issue into a zeroed gradient, in its order.
+pub fn gather_rank_update_ref(
+    d: &mut [f64],
+    m: usize,
+    k: usize,
+    x: &[f64],
+    rows: &[usize],
+    g: &[f64],
+    decay: Option<(f64, &[f64])>,
+) {
+    debug_assert_eq!(d.len(), m * k);
+    debug_assert_eq!(g.len(), rows.len() * m);
+    d.fill(0.0);
+    for (i, &row) in rows.iter().enumerate() {
+        let xr = &x[row * k..(row + 1) * k];
+        for r in 0..m {
+            let gr = g[i * m + r];
+            if gr != 0.0 {
+                for (o, &xv) in d[r * k..(r + 1) * k].iter_mut().zip(xr) {
+                    *o += gr * xv;
+                }
+            }
+        }
+        if let Some((alpha, a)) = decay {
+            for (o, &av) in d.iter_mut().zip(a) {
+                *o += alpha * av;
+            }
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::super::layout::MatRef;

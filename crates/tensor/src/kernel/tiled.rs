@@ -21,6 +21,12 @@
 //!
 //! Packing buffers live in thread-locals so steady-state calls allocate
 //! nothing (the fedperf alloc columns gate on this).
+//!
+//! The gathered kernels ([`gather_matvec`], [`gather_rank_update`]) are
+//! built for skinny minibatch shapes (a 10 × 784 weight matrix against a
+//! few picked dataset rows), where GEMM packing of the weights costs
+//! more than the product. They read the weight and dataset rows in
+//! place and keep the same per-element chains as the reference.
 
 use super::layout::{pack_a, pack_b, Blocking, GemmSource, MR, NR};
 use rayon::prelude::*;
@@ -329,6 +335,231 @@ pub fn matvec_t(a: &[f64], m: usize, k: usize, x: &[f64], out: &mut [f64], paral
         for (band, block) in out.chunks_mut(MATVEC_T_BLOCK).enumerate() {
             matvec_t_block(a, m, k, band * MATVEC_T_BLOCK, block, x);
         }
+    }
+}
+
+/// Rows of `a` per register tile of the gathered matvec.
+const GM_ROWS: usize = 5;
+
+/// Picked rows of `x` per packed panel of the gathered matvec: wide
+/// panels while at least this many rows remain, [`GM_LANES_NARROW`]
+/// ones for the rest.
+const GM_LANES: usize = 8;
+
+/// Panel width for a gathered matvec's last few rows (a 4-row batch
+/// wastes no lanes).
+const GM_LANES_NARROW: usize = 4;
+
+/// [`GM_ROWS`] × `L` register tile of the gathered matvec over one
+/// packed panel (`panel[j·L + l] = x_l[j]`): `acc[r][l] = Σ_j a[r0 + r,
+/// j] · x_l[j]`, each element one chain in increasing `j` from 0.0 —
+/// the order [`matvec_rows`] and the reference use. The rows of `a`
+/// are read in place, one broadcast per `(r, j)`. Five named rows and
+/// accumulators, not an array of them: given an array, LLVM's SLP
+/// vectorizer gathers across rows and shuffles the tile every step
+/// (~10x slower). Kept out of line for the same reason: inlined into
+/// the panel loop it lost ~2.5x on a 10 × 784 batch of 4.
+#[inline(never)]
+fn gm_tile5<const L: usize>(a: &[f64], k: usize, r0: usize, panel: &[f64]) -> [[f64; L]; GM_ROWS] {
+    let w0 = &a[r0 * k..][..k];
+    let w1 = &a[(r0 + 1) * k..][..k];
+    let w2 = &a[(r0 + 2) * k..][..k];
+    let w3 = &a[(r0 + 3) * k..][..k];
+    let w4 = &a[(r0 + 4) * k..][..k];
+    let mut s0 = [0.0f64; L];
+    let mut s1 = [0.0f64; L];
+    let mut s2 = [0.0f64; L];
+    let mut s3 = [0.0f64; L];
+    let mut s4 = [0.0f64; L];
+    for (j, xv) in (0..k).zip(panel.chunks_exact(L)) {
+        let (a0, a1, a2, a3, a4) = (w0[j], w1[j], w2[j], w3[j], w4[j]);
+        for l in 0..L {
+            s0[l] += a0 * xv[l];
+        }
+        for l in 0..L {
+            s1[l] += a1 * xv[l];
+        }
+        for l in 0..L {
+            s2[l] += a2 * xv[l];
+        }
+        for l in 0..L {
+            s3[l] += a3 * xv[l];
+        }
+        for l in 0..L {
+            s4[l] += a4 * xv[l];
+        }
+    }
+    [s0, s1, s2, s3, s4]
+}
+
+/// One-row tile for the rows a [`gm_tile5`] sweep leaves over.
+#[inline(always)]
+fn gm_tile1<const L: usize>(a: &[f64], k: usize, r0: usize, panel: &[f64]) -> [[f64; L]; 1] {
+    let w0 = &a[r0 * k..][..k];
+    let mut s0 = [0.0f64; L];
+    for (&a0, xv) in w0.iter().zip(panel.chunks_exact(L)) {
+        for l in 0..L {
+            s0[l] += a0 * xv[l];
+        }
+    }
+    [s0]
+}
+
+/// One packed panel of `L` picked rows (`lanes ≤ L` of them real)
+/// against every row of `a`; the panel's rows start at output row
+/// `i0`.
+fn gm_panel<const L: usize>(
+    a: &[f64],
+    m: usize,
+    k: usize,
+    panel: &[f64],
+    out: &mut [f64],
+    i0: usize,
+    lanes: usize,
+) {
+    let mut store = |r0: usize, tile: &[[f64; L]]| {
+        for (r, acc) in tile.iter().enumerate() {
+            for (l, &v) in acc.iter().enumerate().take(lanes) {
+                out[(i0 + l) * m + r0 + r] = v;
+            }
+        }
+    };
+    let mut r0 = 0;
+    while r0 + GM_ROWS <= m {
+        store(r0, &gm_tile5::<L>(a, k, r0, panel));
+        r0 += GM_ROWS;
+    }
+    for r in r0..m {
+        store(r, &gm_tile1::<L>(a, k, r, panel));
+    }
+}
+
+/// Pack picked rows `rows` (at most `L`) of `x` transposed into
+/// `panel[j·L + l]`. Missing lanes repeat the first row; their
+/// accumulators are never stored.
+fn gm_pack<const L: usize>(x: &[f64], k: usize, rows: &[usize], panel: &mut Vec<f64>) {
+    let src: [&[f64]; L] = std::array::from_fn(|l| {
+        let row = rows.get(l).copied().unwrap_or(rows[0]);
+        &x[row * k..][..k]
+    });
+    panel.resize(k * L, 0.0);
+    for (j, lanes) in (0..k).zip(panel.chunks_exact_mut(L)) {
+        for l in 0..L {
+            lanes[l] = src[l][j];
+        }
+    }
+}
+
+/// Gathered matvec `out[i, r] = Σ_j a[r, j] · x[rows[i], j]` (`a` is
+/// `m × k` row-major, `out` is `rows.len() × m`): the picked rows of `x`
+/// are packed transposed into `panel` (8 or 4 rows at a time, the
+/// only scratch), and a 5-row × panel-width register tile streams the
+/// rows of `a` in place. Each output element is one chain over `j` in
+/// order from 0.0, so the result is bitwise one [`matvec`] per row.
+pub fn gather_matvec(
+    a: &[f64],
+    m: usize,
+    k: usize,
+    x: &[f64],
+    rows: &[usize],
+    out: &mut [f64],
+    panel: &mut Vec<f64>,
+) {
+    debug_assert_eq!(a.len(), m * k);
+    debug_assert_eq!(out.len(), rows.len() * m);
+    let mut i0 = 0;
+    while i0 < rows.len() {
+        let left = rows.len() - i0;
+        if left >= GM_LANES {
+            gm_pack::<GM_LANES>(x, k, &rows[i0..i0 + GM_LANES], panel);
+            gm_panel::<GM_LANES>(a, m, k, panel, out, i0, GM_LANES);
+            i0 += GM_LANES;
+        } else {
+            let lanes = left.min(GM_LANES_NARROW);
+            gm_pack::<GM_LANES_NARROW>(x, k, &rows[i0..i0 + lanes], panel);
+            gm_panel::<GM_LANES_NARROW>(a, m, k, panel, out, i0, lanes);
+            i0 += lanes;
+        }
+    }
+}
+
+/// Columns of `d` per register block of the gathered rank update.
+const RU_LANES: usize = 32;
+
+/// The gathered rank update over the `W` columns of `d` from `j0`:
+/// each row's block starts from literal zeros (bitwise the same as
+/// zeroing `d` and loading it), takes every picked row's step in order
+/// (the `g ≠ 0` axpy term, then the decay term), and is stored once.
+#[inline(always)]
+#[allow(clippy::too_many_arguments)]
+fn ru_block<const W: usize>(
+    d: &mut [f64],
+    m: usize,
+    k: usize,
+    j0: usize,
+    x: &[f64],
+    rows: &[usize],
+    g: &[f64],
+    decay: Option<(f64, &[f64])>,
+) {
+    for r in 0..m {
+        let base = r * k + j0;
+        let mut acc = [0.0f64; W];
+        let dec = decay.map(|(alpha, a)| (alpha, &a[base..][..W]));
+        for (&row, gs) in rows.iter().zip(g.chunks_exact(m)) {
+            let gr = gs[r];
+            if gr != 0.0 {
+                let xr = &x[row * k + j0..][..W];
+                for l in 0..W {
+                    acc[l] += gr * xr[l];
+                }
+            }
+            if let Some((alpha, ar)) = dec {
+                for l in 0..W {
+                    acc[l] += alpha * ar[l];
+                }
+            }
+        }
+        d[base..][..W].copy_from_slice(&acc);
+    }
+}
+
+/// Gathered rank-`B` product into the row-major `m × k` matrix `d`
+/// (overwritten): `d[r, :] = Σ_i g[i, r] · x[rows[i], :]` (terms with
+/// `g[i, r] = 0` skipped), plus `alpha · a` after every picked row when
+/// `decay = Some((alpha, a))`. Columns are swept in 32-wide register
+/// blocks (8- and 1-wide at the tail) that read the picked rows of `x`
+/// in place, so each block of `d` is stored once per call rather than
+/// loaded and stored once per row. Each element's additions run over
+/// the picked rows in order from 0.0, so the result is bitwise the
+/// per-row axpys of [`super::reference::gather_rank_update_ref`] into a
+/// zeroed `d`.
+pub fn gather_rank_update(
+    d: &mut [f64],
+    m: usize,
+    k: usize,
+    x: &[f64],
+    rows: &[usize],
+    g: &[f64],
+    decay: Option<(f64, &[f64])>,
+) {
+    debug_assert_eq!(d.len(), m * k);
+    debug_assert_eq!(g.len(), rows.len() * m);
+    if m == 0 {
+        return;
+    }
+    let mut j0 = 0;
+    while j0 + RU_LANES <= k {
+        ru_block::<RU_LANES>(d, m, k, j0, x, rows, g, decay);
+        j0 += RU_LANES;
+    }
+    while j0 + 8 <= k {
+        ru_block::<8>(d, m, k, j0, x, rows, g, decay);
+        j0 += 8;
+    }
+    while j0 < k {
+        ru_block::<1>(d, m, k, j0, x, rows, g, decay);
+        j0 += 1;
     }
 }
 

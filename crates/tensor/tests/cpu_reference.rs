@@ -16,7 +16,7 @@
 use fedprox_tensor::conv::{conv2d_backward, conv2d_forward, Conv2dSpec, ConvScratch};
 use fedprox_tensor::kernel::{with_kernel, Kernel};
 use fedprox_tensor::matrix::{matmul_into, matmul_nt_into, matmul_tn_into};
-use fedprox_tensor::Matrix;
+use fedprox_tensor::{kernel, vecops, Matrix};
 use std::sync::Mutex;
 
 /// Serializes kernel-selector switches across this binary's tests.
@@ -302,4 +302,100 @@ fn repeated_calls_through_one_scratch_stay_reference_identical() {
             assert_bits_eq(&tiled, &reference, &format!("round {round} spec {si} reuse"));
         }
     }
+}
+
+/// Picked rows for a gathered kernel: out of order, with repeats.
+fn picked_rows(b: usize, pool: usize) -> Vec<usize> {
+    (0..b).map(|i| (i * 7 + 3) % pool).collect()
+}
+
+/// Logit-gradient-like coefficients with exact zeros (the skipped
+/// terms) and both signs.
+fn coefficients(len: usize, seed: u64) -> Vec<f64> {
+    let zero_some = |(i, v): (usize, f64)| if i % 7 == 3 { 0.0 } else { v };
+    stream(seed, len).into_iter().enumerate().map(zero_some).collect()
+}
+
+#[test]
+fn gathered_kernels_match_per_row_ops_bitwise_under_every_kernel() {
+    let _g = lock();
+    let pool = 40;
+    for k in [1usize, 7, 60, 784] {
+        let x = stream(0xC0FF_EE00 + k as u64, pool * k);
+        for m in [1usize, 2, 3, 5, 10, 11] {
+            let seed = (m * 1_000 + k) as u64;
+            let a = stream(seed, m * k);
+            let start = stream(seed ^ 0x33, m * k);
+            for b in 1..=33usize {
+                let rows = picked_rows(b, pool);
+                let g = coefficients(b * m, seed ^ b as u64);
+                let ctx = format!("m={m} k={k} b={b}");
+
+                // The gathered matvec is one matvec per picked row.
+                let mut want = vec![0.0; b * m];
+                with_kernel(Kernel::Reference, || {
+                    for (o, &r) in want.chunks_exact_mut(m).zip(&rows) {
+                        kernel::matvec_into(&a, m, k, &x[r * k..(r + 1) * k], o);
+                    }
+                });
+                for kern in [Kernel::Reference, Kernel::Tiled, Kernel::TiledParallel] {
+                    let mut got = vec![f64::NAN; b * m];
+                    let mut panel = Vec::new();
+                    with_kernel(kern, || {
+                        kernel::gather_matvec_into(&a, m, k, &x, &rows, &mut got, &mut panel)
+                    });
+                    assert_bits_eq(&got, &want, &format!("gather_matvec {kern:?} {ctx}"));
+                }
+
+                // The rank product is the per-row axpys into a zeroed
+                // matrix, with and without the per-row decay term.
+                for decay in [None, Some((0.01 / b as f64, a.as_slice()))] {
+                    let mut want = vec![0.0; m * k];
+                    for (gs, &r) in g.chunks_exact(m).zip(&rows) {
+                        for (c, &gc) in gs.iter().enumerate() {
+                            if gc != 0.0 {
+                                let row = &mut want[c * k..(c + 1) * k];
+                                vecops::axpy(gc, &x[r * k..(r + 1) * k], row);
+                            }
+                        }
+                        if let Some((alpha, w)) = decay {
+                            vecops::axpy(alpha, w, &mut want);
+                        }
+                    }
+                    for kern in [Kernel::Reference, Kernel::Tiled, Kernel::TiledParallel] {
+                        // Whatever `d` held before is overwritten.
+                        let mut got = start.clone();
+                        with_kernel(kern, || {
+                            kernel::gather_rank_update(&mut got, m, k, &x, &rows, &g, decay)
+                        });
+                        let ctx = format!("rank_update {kern:?} {ctx} decay {}", decay.is_some());
+                        assert_bits_eq(&got, &want, &ctx);
+                    }
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn gathered_kernels_report_shape_errors() {
+    let a = [1.0; 6];
+    let x = [1.0; 9];
+    let mut out = [0.0; 4];
+    let mut panel = Vec::new();
+    // A picked row past the end of x (3 rows of 3).
+    let err = kernel::try_gather_matvec_into(&a, 2, 3, &x, &[0, 3], &mut out, &mut panel);
+    assert_eq!(err.map_err(|e| e.op), Err("gather_matvec"));
+    // The weights disagree with (m, k).
+    let err = kernel::try_gather_matvec_into(&a[..5], 2, 3, &x, &[0, 1], &mut out, &mut panel);
+    assert!(err.is_err());
+    let mut d = [0.0; 6];
+    let g = [1.0; 4];
+    let err = kernel::try_gather_rank_update(&mut d, 2, 3, &x, &[0, 3], &g, None);
+    assert_eq!(err.map_err(|e| e.op), Err("gather_rank_update"));
+    // Coefficients for the wrong number of rows, and a short decay term.
+    assert!(kernel::try_gather_rank_update(&mut d, 2, 3, &x, &[0], &g, None).is_err());
+    let short = Some((0.5, &a[..4]));
+    assert!(kernel::try_gather_rank_update(&mut d, 2, 3, &x, &[0, 1], &g, short).is_err());
+    assert!(kernel::try_gather_rank_update(&mut d, 2, 3, &x, &[0, 1], &g, None).is_ok());
 }

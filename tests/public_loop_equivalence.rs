@@ -2,12 +2,14 @@
 //!
 //! `FederatedTrainer::run` evaluates with one fused loss-and-gradient
 //! pass per device, hands those per-device gradients to the next round's
-//! variance-reduced solves as their anchors, and holds one solver scratch
-//! across the run. None of that may show: a loop made only of
+//! variance-reduced solves as their anchors (and their combination to
+//! FSVRG's next round as the server gradient), and holds one solver
+//! scratch across the run. None of that may show: a loop made only of
 //! `Device::local_update_anchored`, `server::aggregate` and
-//! `eval::global_loss` / `test_accuracy` / `stationarity_gap` — which
-//! recomputes every anchor and evaluates the slow way — must produce the
-//! same final model and the same `RoundRecord`s, bit for bit.
+//! `eval::global_loss` / `test_accuracy` / `stationarity_gap` /
+//! `global_grad` — which recomputes every gradient and evaluates the
+//! slow way — must produce the same final model and the same
+//! `RoundRecord`s, bit for bit.
 
 // Module-level helpers below sit outside #[test] fns, where
 // clippy.toml's allow-expect-in-tests does not reach.
@@ -16,9 +18,10 @@
 use fedprox::core::{eval, server, Sampler};
 use fedprox::data::split::split_federation;
 use fedprox::data::synthetic::{generate, SyntheticConfig};
-use fedprox::models::{Cnn, CnnSpec, MultinomialLogistic};
+use fedprox::models::{Cnn, CnnSpec, GradScratch, MultinomialLogistic};
 use fedprox::prelude::*;
 use fedprox::tensor::Matrix;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 fn synthetic_federation(seed: u64) -> (Vec<Device>, Dataset) {
     let shards = generate(&SyntheticConfig { seed, ..Default::default() }, &[50, 70, 40, 60]);
@@ -103,11 +106,18 @@ fn public_loop<M: LossModel>(
         let weight_sum: f64 = active.iter().map(|&d| weights[d]).sum();
         let met = cfg.resilience.as_ref().is_none_or(|r| r.quorum.met(weight_sum, active.len()));
         if met {
+            // FSVRG's server gradient: N full passes, counted as such.
+            let server_grad = cfg.algorithm.needs_global_gradient().then(|| {
+                let mut g = vec![0.0; global.len()];
+                eval::global_grad(model, devices, &global, &mut g);
+                grad_evals += devices.iter().map(|d| d.samples() as u64).sum::<u64>();
+                g
+            });
             let updates: Vec<_> = active
                 .iter()
                 .map(|&d| {
                     devices[d]
-                        .local_update_anchored(model, &global, cfg, s - 1, None)
+                        .local_update_anchored(model, &global, cfg, s - 1, server_grad.as_deref())
                         .expect("local update")
                 })
                 .collect();
@@ -234,4 +244,93 @@ fn cnn_matches_the_public_loop() {
         .with_rounds(3)
         .with_eval_every(1);
     assert_engine_matches_public_loop(&model, &devices, &test, cfg, "tiny CNN");
+}
+
+/// A model that counts its full-gradient passes (`full_grad_in` and the
+/// fused `full_loss_and_grad_in`) and forwards everything to `inner`.
+struct CountingModel<M> {
+    inner: M,
+    full_grads: AtomicUsize,
+}
+
+impl<M: LossModel> CountingModel<M> {
+    fn new(inner: M) -> Self {
+        CountingModel { inner, full_grads: AtomicUsize::new(0) }
+    }
+
+    /// Full-gradient passes since the last call.
+    fn take(&self) -> usize {
+        self.full_grads.swap(0, Ordering::Relaxed)
+    }
+}
+
+impl<M: LossModel> LossModel for CountingModel<M> {
+    fn dim(&self) -> usize {
+        self.inner.dim()
+    }
+    fn init_params(&self, seed: u64) -> Vec<f64> {
+        self.inner.init_params(seed)
+    }
+    fn sample_loss(&self, w: &[f64], data: &Dataset, i: usize) -> f64 {
+        self.inner.sample_loss(w, data, i)
+    }
+    fn sample_grad_accum(&self, w: &[f64], data: &Dataset, i: usize, scale: f64, out: &mut [f64]) {
+        self.inner.sample_grad_accum(w, data, i, scale, out)
+    }
+    fn predict(&self, w: &[f64], x: &[f64]) -> f64 {
+        self.inner.predict(w, x)
+    }
+    fn batch_loss(&self, w: &[f64], data: &Dataset, indices: &[usize]) -> f64 {
+        self.inner.batch_loss(w, data, indices)
+    }
+    fn batch_grad_in(
+        &self,
+        w: &[f64],
+        data: &Dataset,
+        indices: &[usize],
+        out: &mut [f64],
+        scratch: &mut GradScratch,
+    ) {
+        self.inner.batch_grad_in(w, data, indices, out, scratch)
+    }
+    fn full_grad_in(&self, w: &[f64], data: &Dataset, out: &mut [f64], scratch: &mut GradScratch) {
+        self.full_grads.fetch_add(1, Ordering::Relaxed);
+        self.inner.full_grad_in(w, data, out, scratch)
+    }
+    fn full_loss_and_grad_in(
+        &self,
+        w: &[f64],
+        data: &Dataset,
+        out: &mut [f64],
+        scratch: &mut GradScratch,
+    ) -> f64 {
+        self.full_grads.fetch_add(1, Ordering::Relaxed);
+        self.inner.full_loss_and_grad_in(w, data, out, scratch)
+    }
+    fn accuracy(&self, w: &[f64], data: &Dataset) -> f64 {
+        self.inner.accuracy(w, data)
+    }
+}
+
+#[test]
+fn fsvrg_reuses_the_evaluation_gradient_and_matches_the_public_loop() {
+    let (devices, test) = synthetic_federation(9);
+    let model = CountingModel::new(MultinomialLogistic::new(60, 10));
+    let n = devices.len();
+    for every in [1, 2, 3] {
+        let cfg = base(Algorithm::Fsvrg).with_eval_every(every);
+        let trainer = FederatedTrainer::new(&model, &devices, &test, cfg.clone());
+        let h = trainer.run().expect("engine run");
+        let engine_passes = model.take();
+        let (final_model, records) = public_loop(&model, &devices, &test, &cfg);
+        let loop_passes = model.take();
+        let label = format!("FSVRG, eval_every {every}");
+        assert!(!h.diverged(), "{label}: diverged");
+        assert_eq!(bits(&h.final_model), bits(&final_model), "{label}: final model");
+        assert_eq!(fields(&h.records), fields(&records), "{label}: round records");
+        // Every evaluation before the last hands ∇F̄ to the next round,
+        // which then skips its N full passes.
+        let feeding = h.records.iter().filter(|r| r.round < cfg.rounds).count();
+        assert_eq!(loop_passes - engine_passes, n * feeding, "{label}: full-gradient passes");
+    }
 }
